@@ -47,9 +47,6 @@ from .word_operad import (
     word_operad,
 )
 
-SCHEMA_PATH = "src/endop/schemas/report.schema.json"
-
-
 def parse_field(spec: str) -> FiniteField:
     """Field specs look like "2^3" or "3^2:2,0,1" (coefficients ascending)."""
     body, _, poly_part = spec.partition(":")
@@ -63,11 +60,15 @@ def parse_field(spec: str) -> FiniteField:
 
 
 def parse_ring(spec: str):
-    if spec.startswith("zmod:"):
-        return IntegersMod(int(spec.split(":", 1)[1]))
-    if spec in ("q", "Q", "rational"):
-        return QQ
-    return parse_field(spec)
+    """Ring specs are "zmod:m", "Q", or a field spec."""
+    try:
+        if spec.startswith("zmod:"):
+            return IntegersMod(int(spec.split(":", 1)[1]))
+        if spec in ("q", "Q", "rational"):
+            return QQ
+        return parse_field(spec)
+    except ValueError as exc:
+        raise SystemExit2(f"bad ring {spec!r}: {exc}") from exc
 
 
 def parse_table(args) -> FiniteMonoidTable:
@@ -108,7 +109,10 @@ def cmd_central_set(args):
 
 def cmd_central_mod(args):
     dom = parse_ring(args.ring)
-    rep = central_module(dom, args.rank, args.arity)
+    try:
+        rep = central_module(dom, args.rank, args.arity)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from exc
     d = rep.to_json_dict()
     if d.get("basis") is None:
         d.pop("basis", None)
@@ -117,7 +121,10 @@ def cmd_central_mod(args):
 
 def cmd_graded(args):
     dom = parse_ring(args.ring)
-    rep = graded_central(dom, args.window, args.arity)
+    try:
+        rep = graded_central(dom, args.window, args.arity)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from exc
     return rep.to_json_dict()
 
 

@@ -63,3 +63,7 @@ class BoundExceeded(EndopError):
 
 class IncompleteEvaluation(EndopError):
     pass
+
+
+class VerificationFailed(EndopError):
+    """A result failed the independent re-check made before it is reported."""

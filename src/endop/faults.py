@@ -6,7 +6,7 @@ way; the axiom checker must refuse it with a named counterexample.
 
 from .errors import PositionOutOfRange
 from .operad_core import OperadDescriptor, PermElement, perm_act, perm_operad
-from .word_operad import ReducedWord, word_operad
+from .word_operad import ReducedWord, _word, word_operad
 
 FAULT_NAMES = ("perm-compose", "word-reduce")
 
@@ -48,30 +48,36 @@ def corrupted_word_operad() -> OperadDescriptor:
             raise PositionOutOfRange(f"slot {i} out of 1..{m}")
         shift2 = i - 1
         shift1 = n - 1
-        block = tuple(v + shift2 if v > 0 else v - shift2 for v in w2.letters)
-        raw = []
-        for v in w1.letters:
-            a = abs(v)
-            if a == i:
-                raw.extend(block if v > 0 else tuple(-x for x in reversed(block)))
-            elif a > i:
-                raw.append(v + shift1 if v > 0 else v - shift1)
-            else:
-                raw.append(v)
+        block = tuple([v + shift2 if v > 0 else v - shift2 for v in w2.letters])
+        inverse = tuple([-x for x in reversed(block)])
+        # substitute, letting every positive letter swallow an inverse
+        # letter that follows it
         out = []
-        for v in raw:
-            if out and out[-1] > 0 and v < 0:
+        for v in w1.letters:
+            if v == i or v == -i:
+                for x in block if v > 0 else inverse:
+                    if x < 0 and out and out[-1] > 0:
+                        out.pop()
+                    else:
+                        out.append(x)
+                continue
+            if v > i:
+                v += shift1
+            elif v < -i:
+                v -= shift1
+            if v < 0 and out and out[-1] > 0:
                 out.pop()
             else:
                 out.append(v)
-        # force validity of the letter sequence as a reduced word
+        # force validity of the letter sequence as a reduced word; the
+        # letters are in range and this pass leaves them reduced
         fixed = []
         for v in out:
             if fixed and fixed[-1] == -v:
                 fixed.pop()
             else:
                 fixed.append(v)
-        return ReducedWord(m + n - 1, tuple(fixed))
+        return _word(m + n - 1, tuple(fixed))
 
     good = word_operad()
     return OperadDescriptor(

@@ -8,10 +8,11 @@ tensor indices are lexicographic with the leftmost factor most significant.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import DomainMismatch, NotInvertible, UnsupportedDomain
+from .errors import BoundExceeded, DomainMismatch, NotInvertible, UnsupportedDomain
 from .perms import all_perms, invert_perm
 from .scalars import QQ, Domain, Scalar
 
@@ -33,6 +34,16 @@ class ExactMatrix:
         self.data = data
 
     @classmethod
+    def _canonical(cls, domain, data):
+        """A matrix on a tuple of rows of canonical raw values, unchecked."""
+        self = object.__new__(cls)
+        self.domain = domain
+        self.nrows = len(data)
+        self.ncols = len(data[0]) if data else 0
+        self.data = data
+        return self
+
+    @classmethod
     def identity(cls, domain, d):
         one, zero = domain.one_raw, domain.zero_raw
         return cls(domain, [[one if i == j else zero for j in range(d)] for i in range(d)])
@@ -43,7 +54,7 @@ class ExactMatrix:
         return cls(domain, [[zero] * c for _ in range(r)])
 
     def _check(self, other):
-        if self.domain != other.domain:
+        if self.domain is not other.domain and self.domain != other.domain:
             raise DomainMismatch("matrices live over different domains")
 
     def __eq__(self, other):
@@ -90,8 +101,8 @@ class ExactMatrix:
                     if a != zero and b != zero:
                         acc = add(acc, mul(a, b))
                 out_row.append(acc)
-            out.append(out_row)
-        return ExactMatrix(dom, out)
+            out.append(tuple(out_row))
+        return ExactMatrix._canonical(dom, tuple(out))
 
     def scale(self, c):
         c = self.domain.coerce(c)
@@ -108,8 +119,8 @@ class ExactMatrix:
         out = []
         for ra in self.data:
             for rb in other.data:
-                out.append([mul(a, b) for a in ra for b in rb])
-        return ExactMatrix(self.domain, out)
+                out.append(tuple([mul(a, b) for a in ra for b in rb]))
+        return ExactMatrix._canonical(self.domain, tuple(out))
 
     def entry(self, i, j) -> Scalar:
         return Scalar(self.domain, self.data[i][j])
@@ -219,6 +230,123 @@ def nullspace(m: ExactMatrix):
     """
     _require_field(m.domain)
     return _kernel_of_rows([list(r) for r in m.data], m.domain, m.ncols)
+
+
+# ---------------------------------------------------------------------------
+# Kernels over Z/m.
+#
+# Over a composite modulus the solutions of a linear system form a submodule
+# of (Z/m)^N rather than a vector space.  Its canonical generating set is the
+# Howell form (Howell, "Spans in the module (Z_m)^s", 1986): an echelon form
+# whose pivots divide m and reduce the entries above them, and in which the
+# rows below each pivot span every element of the row span that vanishes up
+# to and including that pivot's column.  It is computed by gcd elimination
+# with annihilator rows, as in Storjohann & Mulders, "Fast algorithms for
+# linear algebra modulo N" (ESA 1998).  Rows are lists of ints in 0..m-1.
+
+
+def _unit_normaliser(a, m):
+    """A unit u mod m with u * a = gcd(a, m) mod m, for 0 < a < m."""
+    g = math.gcd(a, m)
+    step = m // g
+    u = pow(a // g, -1, step)
+    while math.gcd(u, m) != 1:
+        u += step
+    return u
+
+
+def howell_form(rows, m, ncols):
+    """The nonzero rows of the Howell form of the span of `rows` mod m."""
+    rows = [list(row) for row in rows]
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            # Euclid on the two column-c entries: gcd on top, 0 below
+            while rows[i][c]:
+                q = top[c] // rows[i][c]
+                top, rows[i] = rows[i], [(x - q * y) % m for x, y in zip(top, rows[i])]
+        if not top[c]:
+            continue
+        u = _unit_normaliser(top[c], m)
+        if u != 1:
+            top = [u * x % m for x in top]
+        rows[r] = top
+        p = top[c]
+        for i in range(r):
+            q = rows[i][c] // p
+            if q:
+                rows[i] = [(y - q * x) % m for x, y in zip(top, rows[i])]
+        if p != 1:
+            # the annihilator multiple vanishes up to column c, so the rows
+            # still to be echelonised must span it
+            ann = m // p
+            rows.append([ann * x % m for x in top])
+        r += 1
+    return rows[:r]
+
+
+def _howell_remainder(pivoted, v, m):
+    """v reduced by a Howell basis given as (pivot column, row) pairs; zero
+    exactly when v lies in its span."""
+    for c, row in pivoted:
+        x = v[c]
+        if x:
+            p = row[c]
+            if x % p:
+                return v
+            q = x // p
+            v = [(y - q * b) % m for y, b in zip(v, row)]
+    return v
+
+
+def _kernel_generators(basis, m, ncols):
+    """Howell basis of {x : H x = 0} for the Howell basis H, read off the
+    Howell form of [H^T | I]: its rows that vanish on the H^T block."""
+    k = len(basis)
+    stacked = [
+        [row[j] for row in basis] + [1 if i == j else 0 for i in range(ncols)]
+        for j in range(ncols)
+    ]
+    return [row[k:] for row in howell_form(stacked, m, k + ncols) if not any(row[:k])]
+
+
+def _span_elements(generators, m, ncols):
+    """Every element of the span of a Howell basis, once each: coefficient
+    i runs over range(m // pivot_i)."""
+    elements = [(0,) * ncols]
+    for g in generators:
+        pivot = next(x for x in g if x)
+        elements = [
+            tuple([(e + c * x) % m for e, x in zip(el, g)])
+            for el in elements
+            for c in range(m // pivot)
+        ]
+    return elements
+
+
+def zmod_kernel(rows, ncols, m, cap):
+    """All x in (Z/m)^ncols with <row, x> = 0 for every row, in lexicographic
+    order.
+
+    `rows` may be any iterable and is consumed one row at a time: each row
+    is reduced by the running Howell basis, which is recomputed only when a
+    row falls outside its span.  Raises BoundExceeded, before listing
+    anything, when the solution module has more than `cap` elements.
+    """
+    basis, pivoted = [], []
+    for row in rows:
+        v = _howell_remainder(pivoted, row, m)
+        if any(v):
+            basis = howell_form(basis + [v], m, ncols)
+            pivoted = [(next(j for j, x in enumerate(g) if x), g) for g in basis]
+    generators = _kernel_generators(basis, m, ncols)
+    count = math.prod(m // next(x for x in g if x) for g in generators)
+    if count > cap:
+        raise BoundExceeded(f"{count} solutions mod {m} exceed the enumeration cap")
+    return sorted(_span_elements(generators, m, ncols))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,21 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 
-from .errors import BoundExceeded, NotAGroup, NotAMonoid, UnsupportedDomain
-from .linalg import ExactMatrix, HomBasis, intertwiner_basis, kron_power
+from .errors import (
+    BoundExceeded,
+    NotAGroup,
+    NotAMonoid,
+    UnsupportedDomain,
+    VerificationFailed,
+)
+from .linalg import (
+    ExactMatrix,
+    HomBasis,
+    _full_condition_rows,
+    intertwiner_basis,
+    kron_power,
+    zmod_kernel,
+)
 from .word_operad import group_eval, word_enumerate
 
 CANDIDATE_CAP = 1 << 20
@@ -295,7 +308,8 @@ def central_set_bruteforce(n: int, endomaps=None) -> NaturalityReport:
                 survivors.append(cand)
         # emission re-check against the full morphism list
         for phi in survivors:
-            assert all(_set_naturality_holds(phi, f, n) for f in conditions)
+            if not all(_set_naturality_holds(phi, f, n) for f in conditions):
+                raise VerificationFailed(f"survivor {phi} is not natural")
         out = [FiniteFunction(n ** n, n, phi) for phi in survivors] if n > 0 else []
     return NaturalityReport(
         context="central-set-bruteforce",
@@ -322,7 +336,8 @@ def central_set_determined(n: int) -> NaturalityReport:
             if all(_set_naturality_holds(phi, f, n) for f in endos):
                 survivors.append(FiniteFunction(n ** n, n, phi))
         for s in survivors:
-            assert all(_set_naturality_holds(s.values, f, n) for f in endos)
+            if not all(_set_naturality_holds(s.values, f, n) for f in endos):
+                raise VerificationFailed(f"survivor {s.values} is not natural")
     return NaturalityReport(
         context="central-set-determined",
         arity=n,
@@ -374,14 +389,18 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
     """Natural maps (R^r)^(tensor n) -> R^r over the one-object subcategory
     on the free module R^r.
 
-    Over a field the compatibility conditions are linear and solved by exact
-    elimination; over a composite Z/m the solution set is enumerated
-    elementwise.  When the full endomorphism monoid is too large to
-    enumerate, a generator family stands in and survivors are re-verified
-    against a deterministic pseudorandom sample, with complete=False.
+    The compatibility conditions are linear.  Over a field they are solved
+    by exact elimination; over a composite Z/m they are solved in Howell
+    form and every element of the solution module is listed, at most
+    CANDIDATE_CAP of them.  When the full endomorphism monoid is too large
+    to enumerate, a generator family stands in and survivors are
+    re-verified against a deterministic pseudorandom sample, with
+    complete=False.
     """
     if not domain.is_finite:
         raise UnsupportedDomain("central_module expects a finite ring F_q or Z/m")
+    if rank < 0 or arity < 0:
+        raise ValueError(f"rank {rank} and arity {arity} must be non-negative")
     r, n = rank, arity
     size = domain.size
     full_monoid = size ** (r * r) <= HOM_ENUMERATION_CAP
@@ -397,25 +416,24 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
             pairs = [(f, kron_power(f, n)) for f in morphisms]
             basis = intertwiner_basis(pairs, r, r ** n, domain)
             for mat in basis.matrices:
-                assert all(_module_condition_holds(mat, f, n) for f in morphisms)
+                if not all(_module_condition_holds(mat, f, n) for f in morphisms):
+                    raise VerificationFailed(f"basis matrix {mat.to_json()} is not natural")
             survivors = basis.matrices
             extra = {"dimension": basis.dimension, "transformation_count": size ** basis.dimension}
             basis_out = basis
         else:
-            n_entries = r * (r ** n)
-            if size ** n_entries > CANDIDATE_CAP:
-                raise BoundExceeded(
-                    f"{size}^{n_entries} candidate maps exceed the enumeration cap"
-                )
-            powers = [(f, kron_power(f, n)) for f in morphisms]
-            # order conditions by how much they cut down: coordinate-killing
-            # idempotents first (fewest nonzero entries among non-scalars)
-            powers.sort(key=lambda fb: (sum(1 for row in fb[0].data for v in row if v != domain.zero_raw), fb[0].data))
-            survivors = []
-            for flat in product(domain.elements(), repeat=n_entries):
-                phi = ExactMatrix(domain, [flat[i * (r ** n) : (i + 1) * (r ** n)] for i in range(r)])
-                if all(f * phi == phi * fb for f, fb in powers):
-                    survivors.append(phi)
+            width = r ** n
+            # one morphism's condition rows at a time
+            rows = (
+                row
+                for f in morphisms
+                for row in _full_condition_rows(f, kron_power(f, n), domain)
+            )
+            kernel = zmod_kernel(rows, r * width, size, CANDIDATE_CAP)
+            survivors = [
+                ExactMatrix(domain, [flat[i * width : (i + 1) * width] for i in range(r)])
+                for flat in kernel
+            ]
             if not complete:
                 import random as _random
 
@@ -425,8 +443,13 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
                     f = ExactMatrix(domain, [flat[i * r : (i + 1) * r] for i in range(r)])
                     fb = kron_power(f, n)
                     survivors = [phi for phi in survivors if f * phi == phi * fb]
-            for phi in survivors:
-                assert all(f * phi == phi * fb for f, fb in powers)
+            for f in morphisms:
+                fb = kron_power(f, n)
+                for phi in survivors:
+                    if f * phi != phi * fb:
+                        raise VerificationFailed(
+                            f"survivor {phi.to_json()} is not natural for {f.to_json()}"
+                        )
             extra = {"transformation_count": len(survivors)}
             basis_out = None
     rep = NaturalityReport(
@@ -488,10 +511,13 @@ def graded_central(domain, window: int, arity: int) -> NaturalityReport:
     ground ring, with degrees drawn from -window..window.
 
     Within each degree the computation is the ungraded module computation at
-    the multiplicity of that degree.
+    the multiplicity of that degree.  The conditions are solved as in
+    central_module: by elimination over a field, in Howell form over Z/m.
     """
     if not domain.is_finite:
         raise UnsupportedDomain("graded_central expects a finite ring")
+    if window < 0 or arity < 0:
+        raise ValueError(f"window {window} and arity {arity} must be non-negative")
     n = arity
     objects = _graded_objects(window, n)
     with _Timer() as tm:
@@ -556,34 +582,28 @@ def graded_central(domain, window: int, arity: int) -> NaturalityReport:
                             return False
             return True
 
+        dense = []
+        zero = domain.zero_raw
+        for row in rows:
+            r = [zero] * unknowns
+            for k, v in row.items():
+                r[k] = v
+            dense.append(r)
         if domain.is_field:
-            dense = []
-            zero = domain.zero_raw
-            for row in rows:
-                r = [zero] * unknowns
-                for k, v in row.items():
-                    r[k] = v
-                dense.append(r)
             from .linalg import _kernel_of_rows
 
             kernel = _kernel_of_rows(dense, domain, unknowns) if unknowns else []
             for vec in kernel:
-                assert check_assignment(vec)
+                if not check_assignment(vec):
+                    raise VerificationFailed(f"basis vector {vec} is not natural")
             dim = len(kernel)
             survivors = list(kernel)
             extra = {"dimension": dim, "transformation_count": domain.size ** dim}
         else:
-            if domain.size ** unknowns > CANDIDATE_CAP:
-                raise BoundExceeded(
-                    f"{domain.size}^{unknowns} graded candidates exceed the cap"
-                )
-            survivors = [
-                vals
-                for vals in product(domain.elements(), repeat=unknowns)
-                if check_assignment(vals)
-            ]
+            survivors = zmod_kernel(dense, unknowns, domain.size, CANDIDATE_CAP)
             for vals in survivors:
-                assert check_assignment(vals)
+                if not check_assignment(vals):
+                    raise VerificationFailed(f"survivor {vals} is not natural")
             extra = {"transformation_count": len(survivors)}
 
         extra["cells"] = [
@@ -654,7 +674,8 @@ def monoid_reconstruction(M: FiniteMonoidTable) -> NaturalityReport:
             if ok:
                 survivors.append(phi)
         for phi in survivors:
-            assert all(phi[psi[x]] == psi[phi[x]] for psi in psis for x in range(m))
+            if not all(phi[psi[x]] == psi[phi[x]] for psi in psis for x in range(m)):
+                raise VerificationFailed(f"survivor {phi} is not natural")
 
         left_mults = {a: tuple(M.table[a][x] for x in range(m)) for a in range(m)}
         surv_set = set(survivors)
@@ -747,17 +768,19 @@ def finite_group_natural_maps(
             if ok:
                 survivors.append(phi)
         for phi in survivors:
-            assert all(
+            if not all(
                 phi[mapped[idx]] == f[phi[idx]]
                 for f, mapped in checks
                 for idx in range(len(tuples))
-            )
+            ):
+                raise VerificationFailed(f"survivor {phi} is not natural")
         word_tables = {}
         for w in word_enumerate(n, word_length_bound):
             tbl = tuple(group_eval(w, G, args) for args in tuples)
             word_tables.setdefault(tbl, str(w))
         surv_set = set(survivors)
-        assert set(word_tables) <= surv_set
+        if not set(word_tables) <= surv_set:
+            raise VerificationFailed("a word image is missing from the survivors")
         out = [FiniteFunction(g ** n, g, phi) for phi in survivors]
     return NaturalityReport(
         context="group-natural-maps",

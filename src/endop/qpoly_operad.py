@@ -21,6 +21,7 @@ from .errors import (
     OperadMismatch,
     PositionOutOfRange,
     TruncationMismatch,
+    VerificationFailed,
 )
 from .operad_core import OperadDescriptor
 from .scalars import FiniteField, Scalar, frobenius_pow
@@ -434,7 +435,8 @@ def generated_submonomials(n: int, exp_bound: int, field: FiniteField):
     for heights in product(range(max_h + 1), repeat=n):
         mono = QPolynomial.monomial(field, tuple(q ** h for h in heights))
         tree = monomial_tree(heights)
-        assert qpoly_from_tree(tree, field) == mono
+        if qpoly_from_tree(tree, field) != mono:
+            raise VerificationFailed(f"tree {tree} does not evaluate to {mono}")
         out.append((mono, tree))
     return out
 
@@ -694,7 +696,7 @@ def syntactic_q_power_criterion(exponents, q: int) -> bool:
 
 def characterize_multilinear(n: int, max_total_deg: int, field: FiniteField):
     """Classify every monomial of total degree 1..max_total_deg by the
-    linearity test, asserting agreement with the syntactic q-power shape.
+    linearity test, checking agreement with the syntactic q-power shape.
 
     Returns (multilinear, not_multilinear) as lists of FieldPolynomial.
     """
@@ -706,8 +708,9 @@ def characterize_multilinear(n: int, max_total_deg: int, field: FiniteField):
             continue
         mono = FieldPolynomial.monomial(field, exp)
         verdict = multilinearity_check(mono)
-        assert verdict.multilinear == syntactic_q_power_criterion(exp, q), (
-            f"linearity test disagrees with the q-power shape at {mono}"
-        )
+        if verdict.multilinear != syntactic_q_power_criterion(exp, q):
+            raise VerificationFailed(
+                f"linearity test disagrees with the q-power shape at {mono}"
+            )
         (good if verdict.multilinear else bad).append(mono)
     return good, bad

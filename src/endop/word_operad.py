@@ -33,6 +33,7 @@ class ReducedWord:
     __slots__ = ("_arity", "_letters")
 
     def __init__(self, arity, letters):
+        letters = tuple(letters)
         if arity < 0:
             raise ValueError("negative arity")
         for v in letters:

@@ -48,6 +48,35 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["central-mod", "--ring", "zmod:4", "--rank", "-1"],
+        ["central-mod", "--ring", "zmod:4", "--arity", "-1"],
+        ["central-mod", "--ring", "zmod:1"],
+        ["central-mod", "--ring", "6"],
+        ["graded", "--ring", "zmod:2", "--window", "-1"],
+        ["graded", "--ring", "zmod:2", "--arity", "-1"],
+    ],
+)
+def test_bad_ring_or_size_is_a_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
+def test_failed_recheck_is_a_json_error(capsys, monkeypatch):
+    from endop import linalg
+
+    solved = linalg._kernel_generators
+    monkeypatch.setattr(linalg, "_kernel_generators", lambda *a: solved(*a) + [[0, 1, 0, 0]])
+    code, doc = run_cli(capsys, ["central-mod", "--ring", "zmod:4", "--rank", "2", "--arity", "1"])
+    assert code == 1
+    validate(doc)
+    assert doc["error"]["name"] == "VerificationFailed"
+
+
 def test_qpoly_classify(capsys):
     code, doc = run_cli(
         capsys, ["qpoly", "classify", "--q", "4", "--arity", "1", "--maxdeg", "4"]

@@ -9,13 +9,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from endop.errors import NotInvertible, UnsupportedDomain
+from endop.errors import BoundExceeded, NotInvertible, UnsupportedDomain
 from endop.linalg import (
     ExactMatrix,
     HomBasis,
+    _span_elements,
     all_invertible_matrices,
     diagonal_prime_matrix,
     equivariant_homs,
+    howell_form,
     intertwiner_basis,
     kron_power,
     matrix_rank,
@@ -24,6 +26,7 @@ from endop.linalg import (
     random_invertible_generators,
     schur_weyl_dimension,
     symmetric_group_image_dim,
+    zmod_kernel,
 )
 from endop.perms import all_perms
 from endop.scalars import QQ, IntegersMod, finite_field
@@ -208,3 +211,50 @@ def test_matrix_json_uses_scalar_strings():
     g = finite_field(4).generator()
     m = ExactMatrix(finite_field(4), [[g.value, (1, 1)]])
     assert m.to_json() == [["g", "g+1"]]
+
+
+# -- kernels over Z/m -----------------------------------------------------------
+
+def _random_system(rng, m, ncols, nrows):
+    """Rows with many zero divisors: entries are multiples of random divisors of m."""
+    divisors = [d for d in range(1, m) if m % d == 0]
+    return [
+        [rng.choice(divisors) * rng.randrange(m) % m if rng.random() < 0.7 else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9, 12])
+def test_zmod_kernel_matches_brute_force(m):
+    rng = random.Random(m)
+    for _ in range(60):
+        ncols = rng.randint(0, 4 if m < 12 else 3)
+        rows = _random_system(rng, m, ncols, rng.randint(0, 5))
+        brute = [
+            x
+            for x in product(range(m), repeat=ncols)
+            if all(sum(a * b for a, b in zip(row, x)) % m == 0 for row in rows)
+        ]
+        assert zmod_kernel(iter(rows), ncols, m, cap=m ** ncols) == brute, rows
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9, 12])
+def test_howell_form_lists_its_span_once(m):
+    rng = random.Random(100 + m)
+    for _ in range(40):
+        ncols = rng.randint(1, 3)
+        rows = _random_system(rng, m, ncols, rng.randint(1, 3))
+        span = {
+            tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % m for j in range(ncols))
+            for coeffs in product(range(m), repeat=len(rows))
+        }
+        listed = _span_elements(howell_form(rows, m, ncols), m, ncols)
+        assert len(listed) == len(span) and set(listed) == span, rows
+
+
+def test_zmod_kernel_cap_is_checked_before_listing():
+    # x + y = 0 over Z/8: eight solutions
+    assert len(zmod_kernel([[1, 1]], 2, 8, cap=8)) == 8
+    with pytest.raises(BoundExceeded):
+        zmod_kernel([[1, 1]], 2, 8, cap=7)
+    assert zmod_kernel([], 0, 4, cap=1) == [()]

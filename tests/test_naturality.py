@@ -1,10 +1,19 @@
 """The naturality engine: central operads of sets, modules, and graded
 modules, monoid reconstruction, and natural maps on a fixed group."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from functools import reduce
 from itertools import product
 
+import numpy as np
 import pytest
 
+import endop
+from endop import naturality as nat
 from endop.errors import BoundExceeded, NotAGroup, NotAMonoid, UnsupportedDomain
 from endop.linalg import ExactMatrix
 from endop.naturality import (
@@ -131,9 +140,185 @@ def test_central_module_rejects_infinite_ring():
         central_module(QQ, 2, 1)
 
 
-def test_central_module_candidate_cap():
+def test_central_module_reaches_past_the_old_candidate_space():
+    # 4^16 candidate maps: out of reach of enumeration, solved exactly
+    r = central_module(IntegersMod(4), 2, 3)
+    assert r.survivors == [ExactMatrix.zeros(IntegersMod(4), 2, 8)]
+    assert r.complete and r.morphisms == 256
+    for m in (4, 8, 9):
+        R = IntegersMod(m)
+        r = central_module(R, 3, 2)
+        assert r.survivors == [ExactMatrix.zeros(R, 3, 9)], m
+        assert not r.complete
+
+
+def test_solution_module_cap(monkeypatch):
+    # graded_central(Z/6, 2, 1) has 6^5 = 7,776 survivors
+    monkeypatch.setattr(nat, "CANDIDATE_CAP", 7775)
     with pytest.raises(BoundExceeded):
-        central_module(IntegersMod(4), 2, 3)  # 4^(2*8) candidates
+        graded_central(IntegersMod(6), 2, 1)
+    monkeypatch.setattr(nat, "CANDIDATE_CAP", 7776)
+    assert graded_central(IntegersMod(6), 2, 1).count == 7776
+
+
+@pytest.mark.parametrize(
+    "driver, args",
+    [
+        (central_module, (IntegersMod(4), -1, 1)),
+        (central_module, (IntegersMod(4), 2, -1)),
+        (graded_central, (IntegersMod(4), -1, 1)),
+        (graded_central, (IntegersMod(4), 1, -1)),
+    ],
+)
+def test_negative_sizes_are_rejected(driver, args):
+    with pytest.raises(ValueError):
+        driver(*args)
+
+
+# -- brute-force oracles over Z/m ------------------------------------------------
+#
+# The candidate enumeration the Z/m drivers used before they solved their
+# conditions: every candidate map, in lexicographic order, is kept when it
+# satisfies every condition.  The conditions are evaluated with numpy
+# integer arithmetic, all surviving candidates at once.
+
+def _as_array(mat):
+    return np.array(mat.data, dtype=np.int64).reshape(mat.nrows, mat.ncols)
+
+
+def _candidates(m, count):
+    return np.array(list(product(range(m), repeat=count)), dtype=np.int64).reshape(-1, count)
+
+
+def enumerated_central_module(domain, r, n):
+    m, width = domain.size, r ** n
+    if m ** (r * r) <= nat.HOM_ENUMERATION_CAP:
+        morphisms, complete = list(nat._all_square_matrices(domain, r)), True
+    else:
+        morphisms, complete = nat._module_generator_family(domain, r), False
+
+    def natural_for(cands, f):
+        fa = _as_array(f)
+        fb = reduce(np.kron, [fa] * n, np.eye(1, dtype=np.int64)) % m
+        phi = cands.reshape(-1, r, width)
+        diff = np.einsum("ij,cjk->cik", fa, phi) - np.einsum("cij,jk->cik", phi, fb)
+        return cands[np.all(diff.reshape(len(cands), -1) % m == 0, axis=1)]
+
+    cands = _candidates(m, r * width)
+    for f in morphisms:
+        cands = natural_for(cands, f)
+    if not complete:
+        rng = random.Random(0)
+        for _ in range(nat.SAMPLE_VERIFICATIONS):
+            flat = [rng.randrange(m) for _ in range(r * r)]
+            cands = natural_for(cands, ExactMatrix(domain, [flat[i * r : (i + 1) * r] for i in range(r)]))
+    survivors = [
+        ExactMatrix(domain, [[int(v) for v in row] for row in c.reshape(r, width)])
+        for c in cands
+    ]
+    extra = {"transformation_count": len(survivors)}
+    if not complete:
+        extra["method"] = "generator-based (sound but possibly over-approximating)"
+    extra["basis"] = None
+    return nat.NaturalityReport(
+        "central-module", n, [f"{domain}^{r}"], len(morphisms), survivors, complete, 0.0, extra
+    )
+
+
+def enumerated_graded_central(domain, window, n):
+    m = domain.size
+    objects = nat._graded_objects(window, n)
+    cell_index = {}
+    for oi, obj in enumerate(objects):
+        for t, T in nat._graded_cells(obj, n):
+            cell_index[(oi, t, T)] = len(cell_index)
+    cands = _candidates(m, len(cell_index))
+    homs = 0
+    for si, src in enumerate(objects):
+        for di, dst in enumerate(objects):
+            for f in nat._graded_homs(src, dst, domain, nat.HOM_ENUMERATION_CAP):
+                homs += 1
+                # f o phi_src == phi_dst o f^(tensor n) at output u, input T
+                forms = []
+                for u in range(len(dst)):
+                    for T in product(range(len(src)), repeat=n):
+                        c = np.zeros(len(cell_index), dtype=np.int64)
+                        for (oi, t, TT), k in cell_index.items():
+                            if oi == si and TT == T:
+                                c[k] += f[u][t]
+                            if oi == di and t == u:
+                                c[k] -= int(np.prod([f[a][b] for a, b in zip(TT, T)]))
+                        forms.append(c)
+                if forms and len(cands):
+                    values = cands @ np.array(forms).T % m
+                    cands = cands[np.all(values == 0, axis=1)]
+    survivors = [tuple(int(v) for v in c) for c in cands]
+    extra = {
+        "transformation_count": len(survivors),
+        "cells": [
+            {"object": str(objects[oi]), "out": t, "in": list(T)} for (oi, t, T) in cell_index
+        ],
+    }
+    return nat.NaturalityReport(
+        "graded-central", n, [str(o) for o in objects], homs, survivors, True, 0.0, extra
+    )
+
+
+def _report(rep):
+    d = rep.to_json_dict()
+    del d["elapsed_ms"]
+    return d
+
+
+ZMOD_MODULI = (4, 6, 8, 9, 12)
+
+
+@pytest.mark.parametrize("m", ZMOD_MODULI)
+@pytest.mark.parametrize("rank, arity", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)])
+def test_central_module_matches_enumeration(m, rank, arity):
+    R = IntegersMod(m)
+    assert _report(central_module(R, rank, arity)) == _report(
+        enumerated_central_module(R, rank, arity)
+    )
+
+
+@pytest.mark.parametrize(
+    "m, window, arity",
+    [(m, w, a) for m in ZMOD_MODULI for w in (0, 1) for a in (0, 1)] + [(4, 0, 2)],
+)
+def test_graded_central_matches_enumeration(m, window, arity):
+    R = IntegersMod(m)
+    assert _report(graded_central(R, window, arity)) == _report(
+        enumerated_graded_central(R, window, arity)
+    )
+
+
+def test_survivor_recheck_runs_under_python_O():
+    """A wrong generator slipped into the Z/m kernel is caught by the
+    re-check, which must not be an assert that -O strips."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from endop import linalg, naturality
+        from endop.errors import VerificationFailed
+        from endop.scalars import IntegersMod
+
+        assert sys.flags.optimize
+        solved = linalg._kernel_generators
+        linalg._kernel_generators = lambda *a: solved(*a) + [[0, 1, 0, 0]]
+        try:
+            naturality.central_module(IntegersMod(4), 2, 1)
+        except VerificationFailed as exc:
+            print("VerificationFailed:", exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(endop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("VerificationFailed: survivor [['0 mod 4', '1 mod 4']")
 
 
 # -- graded modules -----------------------------------------------------------
@@ -339,8 +524,8 @@ def test_report_json_shape():
 
 
 def test_emission_recheck_never_fails():
-    # the survivor re-verification is an assertion inside every driver; a
-    # clean pass of the drivers is the property itself
+    # every driver re-verifies its survivors and raises VerificationFailed
+    # on a miss; a clean pass of the drivers is the property itself
     central_set_determined(3)
     central_module(finite_field(2), 2, 1)
     graded_central(IntegersMod(2), 1, 1)

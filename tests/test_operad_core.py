@@ -20,7 +20,7 @@ from endop.operad_core import (
 )
 from endop.perms import all_perms
 from endop.scalars import IntegersMod
-from endop.word_operad import reduced_word_count, word_compose, word_operad
+from endop.word_operad import ReducedWord, reduced_word_count, word_compose, word_operad
 
 
 def test_perm_defining_relations():
@@ -240,6 +240,23 @@ def test_corrupted_perm_is_caught_with_named_witness():
         ("symmetric-action", 123, None),
         ("equivariance", 700, "(sigma.pi1[2]) o_1 pi1[1] fails for sigma=(2, 1)"),
     ]
+
+
+def test_corrupted_word_composites_are_valid_words():
+    """The fault builds its results unchecked; each one must still pass the
+    validating constructor, so the fault lies only in which word it is."""
+    P = corrupted_word_operad()
+    composites = 0
+    for m in range(1, 3):
+        for w1 in P.enumerate_arity(m, 2):
+            for i in range(1, m + 1):
+                for n in range(3):
+                    for w2 in P.enumerate_arity(n, 2):
+                        out = P.compose(w1, i, w2)
+                        assert ReducedWord(out.arity, out.letters) == out
+                        composites += 1
+    words = [sum(reduced_word_count(n, L) for L in range(3)) for n in range(3)]
+    assert composites == (words[1] + 2 * words[2]) * sum(words) == 897
 
 
 def test_corrupted_word_reduction_is_caught():

@@ -156,7 +156,8 @@ def test_reduced_word_contract():
         w.arity = 3
     with pytest.raises(AttributeError):
         w.letters = (1,)
-    assert w == ReducedWord(2, (1, -2))
+    assert w == ReducedWord(2, (1, -2)) == ReducedWord(2, [1, -2])
+    assert ReducedWord(1, [1]).letters == (1,)
     assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
     with pytest.raises(IndexOutOfRange):
         ReducedWord(1, (2,))
