@@ -7,12 +7,15 @@ criterion test additionally pins its own frozen expected values where that
 is cheap to do directly.
 """
 
+import copy
+import json
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from endop import acceptance
+from endop import acceptance, cli
 from endop.faults import corrupted_operad
 from endop.linalg import all_invertible_matrices, equivariant_homs, schur_weyl_dimension
 from endop.naturality import (
@@ -129,6 +132,15 @@ def test_whole_suite_passes_and_is_fast(suite):
     assert suite["pass"]
     assert suite["total_s"] < 60, f"suite took {suite['total_s']:.1f} s"
     print(f"full suite: {suite['total_s']:.1f} s")
+
+
+def test_suite_matches_golden_document(suite):
+    # the recorded `endop all --json --no-timing`, compared with the session
+    # run above instead of running the whole suite a second time
+    got = copy.deepcopy(suite)
+    del got["total_s"]
+    golden = Path(__file__).parent / "golden" / "all.json"
+    assert cli._zero_timings(got) == json.loads(golden.read_text())["result"]
 
 
 def test_injected_faults_fail_their_checks():
