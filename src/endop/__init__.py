@@ -60,7 +60,6 @@ from .operad_core import (
 from .qpoly_operad import (
     FieldPolynomial,
     QPolynomial,
-    TruncatedSymElement,
     characterize_multilinear,
     eval_poly,
     generated_submonomials,

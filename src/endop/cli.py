@@ -30,6 +30,7 @@ from .naturality import (
 )
 from .operad_core import PermElement, check_operad_axioms, perm_compose, perm_operad, trivial_operad
 from .qpoly_operad import (
+    FieldPolynomial,
     QPolynomial,
     characterize_multilinear,
     generated_submonomials,
@@ -76,12 +77,33 @@ def parse_table(args) -> FiniteMonoidTable:
         return BUILTIN_TABLES[args.builtin]()
     if not args.table:
         raise SystemExit2("one of --builtin or --table is required")
-    rows = [[int(x) for x in row.split(",")] for row in args.table.split(";")]
+    rows = _parse_arg("--table", args.table, lambda s: [_ints(row) for row in s.split(";")])
     return FiniteMonoidTable(tuple(tuple(r) for r in rows), name="custom")
 
 
 class SystemExit2(Exception):
     """Usage error raised past argparse."""
+
+
+def _ints(s):
+    return [int(x) for x in s.split(",")]
+
+
+def _parse_arg(flag, text, parse):
+    """parse(text) for the value of `flag`; a missing value or a ValueError
+    while reading it is a usage error."""
+    if text is None:
+        raise SystemExit2(f"{flag} is required")
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise SystemExit2(f"bad {flag} {text!r}: {exc}") from exc
+
+
+def _non_negative(**sizes):
+    for flag, v in sizes.items():
+        if v < 0:
+            raise SystemExit2(f"--{flag} must be non-negative, got {v}")
 
 
 def _operad_by_name(name, args):
@@ -100,6 +122,7 @@ def _operad_by_name(name, args):
 
 def cmd_central_set(args):
     n = args.n
+    _non_negative(n=n)
     if args.method == "bruteforce" or (args.method == "auto" and n <= 2):
         rep = central_set_bruteforce(n)
     else:
@@ -109,11 +132,8 @@ def cmd_central_set(args):
 
 def cmd_central_mod(args):
     dom = parse_ring(args.ring)
-    try:
-        rep = central_module(dom, args.rank, args.arity)
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from exc
-    d = rep.to_json_dict()
+    _non_negative(rank=args.rank, arity=args.arity)
+    d = central_module(dom, args.rank, args.arity).to_json_dict()
     if d.get("basis") is None:
         d.pop("basis", None)
     return d
@@ -121,11 +141,8 @@ def cmd_central_mod(args):
 
 def cmd_graded(args):
     dom = parse_ring(args.ring)
-    try:
-        rep = graded_central(dom, args.window, args.arity)
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from exc
-    return rep.to_json_dict()
+    _non_negative(window=args.window, arity=args.arity)
+    return graded_central(dom, args.window, args.arity).to_json_dict()
 
 
 def cmd_monoid(args):
@@ -141,19 +158,22 @@ def cmd_group_maps(args):
 
 def cmd_word(args):
     if args.action == "compose":
-        w1 = parse_word(args.w1, args.arity1)
-        w2 = parse_word(args.w2, args.arity2)
+        w1 = _parse_arg("--w1", args.w1, lambda s: parse_word(s, args.arity1))
+        w2 = _parse_arg("--w2", args.w2, lambda s: parse_word(s, args.arity2))
         out = word_compose(w1, args.at, w2)
         return {"word": str(out), "arity": out.arity}
     if args.action == "reduce":
-        letters = [int(x) for x in args.letters.split(",")]
+        letters = _parse_arg("--letters", args.letters, _ints)
         out = free_reduce(letters, args.arity1)
         return {"word": str(out), "arity": out.arity}
     if args.action == "eval":
         G = parse_table(args)
-        w = parse_word(args.w1, args.arity1)
-        val = group_eval(w, G, tuple(int(x) for x in args.args.split(",")) if args.args else ())
-        return {"value": val}
+        w = _parse_arg("--w1", args.w1, lambda s: parse_word(s, args.arity1))
+        elems = tuple(_parse_arg("--args", args.args, _ints)) if args.args else ()
+        size = len(G.table)
+        if not all(0 <= a < size for a in elems):
+            raise SystemExit2(f"--args {args.args!r} names elements outside 0..{size - 1}")
+        return {"value": group_eval(w, G, elems)}
     if args.action == "enumerate":
         words = word_enumerate(args.arity1, args.max_length)
         return {"count": len(words), "words": [str(w) for w in words]}
@@ -178,8 +198,8 @@ def cmd_perm(args):
 def cmd_qpoly(args):
     field = parse_field(args.field) if args.field else finite_field(args.q or 2)
     if args.action == "compose":
-        f = QPolynomial.parse(field, args.arity1, args.f)
-        g = QPolynomial.parse(field, args.arity2, args.g)
+        f = _parse_arg("--f", args.f, lambda s: QPolynomial.parse(field, args.arity1, s))
+        g = _parse_arg("--g", args.g, lambda s: QPolynomial.parse(field, args.arity2, s))
         return {"polynomial": str(qpoly_compose(f, args.at, g))}
     if args.action == "classify":
         good, bad = characterize_multilinear(args.arity, args.maxdeg, field)
@@ -189,9 +209,7 @@ def cmd_qpoly(args):
             "not_multilinear": [str(m) for m in bad],
         }
     if args.action == "check":
-        from .qpoly_operad import FieldPolynomial
-
-        f = FieldPolynomial.parse(field, args.arity, args.f)
+        f = _parse_arg("--f", args.f, lambda s: FieldPolynomial.parse(field, args.arity, s))
         verdict = multilinearity_check(f, args.cap)
         return {"multilinear": verdict.multilinear, "witness": verdict.witness}
     if args.action == "generate":

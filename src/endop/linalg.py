@@ -14,33 +14,35 @@ from dataclasses import dataclass, field
 
 from .errors import BoundExceeded, DomainMismatch, NotInvertible, UnsupportedDomain
 from .perms import all_perms, invert_perm
-from .scalars import QQ, Domain, Scalar
+from .scalars import QQ, Domain
 
 
 class ExactMatrix:
-    """Immutable dense matrix over one scalar domain."""
+    """Immutable dense matrix over one scalar domain.
+
+    The column count is read off the rows; a matrix without rows takes it
+    from `ncols` (default 0).
+    """
 
     __slots__ = ("domain", "nrows", "ncols", "data")
 
-    def __init__(self, domain: Domain, rows):
+    def __init__(self, domain: Domain, rows, ncols: int = 0):
         data = tuple(tuple(domain.coerce(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
+        if data and any(len(r) != len(data[0]) for r in data):
+            raise ValueError("ragged rows")
+        self._fill(domain, data, ncols)
+
+    def _fill(self, domain, data, ncols):
         self.domain = domain
         self.nrows = len(data)
-        self.ncols = len(data[0]) if data else 0
+        self.ncols = len(data[0]) if data else ncols
         self.data = data
 
     @classmethod
-    def _canonical(cls, domain, data):
+    def _canonical(cls, domain, data, ncols=0):
         """A matrix on a tuple of rows of canonical raw values, unchecked."""
         self = object.__new__(cls)
-        self.domain = domain
-        self.nrows = len(data)
-        self.ncols = len(data[0]) if data else 0
-        self.data = data
+        self._fill(domain, data, ncols)
         return self
 
     @classmethod
@@ -51,7 +53,7 @@ class ExactMatrix:
     @classmethod
     def zeros(cls, domain, r, c):
         zero = domain.zero_raw
-        return cls(domain, [[zero] * c for _ in range(r)])
+        return cls(domain, [[zero] * c for _ in range(r)], c)
 
     def _check(self, other):
         if self.domain is not other.domain and self.domain != other.domain:
@@ -76,11 +78,12 @@ class ExactMatrix:
                 [add(a, b) for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.data, other.data)
             ],
+            self.ncols,
         )
 
     def __neg__(self):
         neg = self.domain.neg
-        return ExactMatrix(self.domain, [[neg(a) for a in row] for row in self.data])
+        return ExactMatrix(self.domain, [[neg(a) for a in row] for row in self.data], self.ncols)
 
     def __sub__(self, other):
         return self + (-other)
@@ -102,15 +105,16 @@ class ExactMatrix:
                         acc = add(acc, mul(a, b))
                 out_row.append(acc)
             out.append(tuple(out_row))
-        return ExactMatrix._canonical(dom, tuple(out))
+        return ExactMatrix._canonical(dom, tuple(out), other.ncols)
 
     def scale(self, c):
         c = self.domain.coerce(c)
         mul = self.domain.mul
-        return ExactMatrix(self.domain, [[mul(c, a) for a in row] for row in self.data])
+        return ExactMatrix(self.domain, [[mul(c, a) for a in row] for row in self.data], self.ncols)
 
     def transpose(self):
-        return ExactMatrix(self.domain, list(zip(*self.data)) if self.data else [])
+        cols = list(zip(*self.data)) if self.data else [()] * self.ncols
+        return ExactMatrix(self.domain, cols, self.nrows)
 
     def kron(self, other):
         """Kronecker product; leftmost factor most significant in the indices."""
@@ -120,10 +124,7 @@ class ExactMatrix:
         for ra in self.data:
             for rb in other.data:
                 out.append(tuple([mul(a, b) for a in ra for b in rb]))
-        return ExactMatrix._canonical(self.domain, tuple(out))
-
-    def entry(self, i, j) -> Scalar:
-        return Scalar(self.domain, self.data[i][j])
+        return ExactMatrix._canonical(self.domain, tuple(out), self.ncols * other.ncols)
 
     def is_zero(self):
         zero = self.domain.zero_raw
@@ -495,7 +496,7 @@ def _basis_to_matrices(basis, dcod, ddom, dom):
         rows = [[zero] * ddom for _ in range(dcod)]
         for (i, j), v in phi.items():
             rows[i][j] = v
-        mats.append(ExactMatrix(dom, rows))
+        mats.append(ExactMatrix(dom, rows, ddom))
     return HomBasis(ddom, dcod, tuple(mats), dom)
 
 

@@ -431,7 +431,7 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
             )
             kernel = zmod_kernel(rows, r * width, size, CANDIDATE_CAP)
             survivors = [
-                ExactMatrix(domain, [flat[i * width : (i + 1) * width] for i in range(r)])
+                ExactMatrix(domain, [flat[i * width : (i + 1) * width] for i in range(r)], width)
                 for flat in kernel
             ]
             if not complete:

@@ -3,16 +3,18 @@ operations on commutative F_q-algebras.
 
 Arity n carries the polynomials in X_1..X_n in which every variable occurs
 in every monomial with exponent a power of q; composition substitutes one
-polynomial into a variable slot, with Frobenius handling the required powers
-of the substituted polynomial.  The binary product and the q-th power
+polynomial into a variable slot.  The binary product and the q-th power
 operation generate this operad, subject to commutativity, associativity,
 and mu o (P_q (x) P_q) = P_q o mu.
+
+Coefficients are stored as raw field values (see scalars.FiniteField).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import add
 
 from .errors import (
     CapTooSmall,
@@ -24,7 +26,7 @@ from .errors import (
     VerificationFailed,
 )
 from .operad_core import OperadDescriptor
-from .scalars import FiniteField, Scalar, frobenius_pow
+from .scalars import FiniteField, Scalar
 
 
 def is_q_power(x: int, q: int) -> bool:
@@ -35,11 +37,29 @@ def is_q_power(x: int, q: int) -> bool:
     return x == 1
 
 
+def _coerce(field, coeff):
+    if isinstance(coeff, Scalar) and coeff.domain != field:
+        raise FieldMismatch("coefficient from a different field")
+    return field.coerce(coeff)
+
+
+def _collect(field, pairs):
+    """Sum (exponent tuple, raw coefficient) pairs into a term dict, dropping
+    the zero coefficients."""
+    plus = field.add
+    out = {}
+    for exp, c in pairs:
+        prev = out.get(exp)
+        out[exp] = c if prev is None else plus(prev, c)
+    zero = field.zero_raw
+    return {exp: c for exp, c in out.items() if c != zero}
+
+
 def _sorted_terms(terms):
     return tuple(sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
 
 
-def _format_terms(field, arity, terms):
+def _format_terms(field, terms):
     if not terms:
         return "0"
     chunks = []
@@ -49,7 +69,7 @@ def _format_terms(field, arity, terms):
             for i, e in enumerate(exp)
             if e != 0
         )
-        c = field.format_value(coeff.value)
+        c = field.format_value(coeff)
         if "+" in c:
             c = f"({c})"
         if not vars_part:
@@ -62,118 +82,123 @@ def _format_terms(field, arity, terms):
 
 
 def _parse_terms(field, arity, s):
-    terms = {}
-    s = s.strip()
-    if s == "0":
-        return terms
-    for chunk in s.split(" + "):
-        coeff = field.one()
+    """Read the printed form back into a term dict: terms joined by " + ",
+    each a "*"-product of coefficients (in parentheses when they contain a
+    "+") and factors Xi or Xi^e with 1 <= i <= arity.  Anything else raises
+    a ValueError that names the offending factor."""
+
+    def term(chunk):
+        coeff = field.one_raw
         exp = [0] * arity
         for factor in chunk.strip().split("*"):
             factor = factor.strip()
+            if factor.startswith("X"):
+                idx, caret, e = factor[1:].partition("^")
+                if not (idx.isdigit() and 1 <= int(idx) <= arity) or (
+                    caret and not e.isdigit()
+                ):
+                    raise ValueError(
+                        f"bad factor {factor!r}: expected Xi or Xi^e with 1 <= i <= {arity}"
+                    )
+                exp[int(idx) - 1] += int(e) if caret else 1
+                continue
             if factor.startswith("(") and factor.endswith(")"):
-                coeff = coeff * Scalar(field, field.parse_value(factor[1:-1]))
-            elif factor.startswith("X"):
-                body = factor[1:]
-                if "^" in body:
-                    idx, _, e = body.partition("^")
-                    exp[int(idx) - 1] += int(e)
-                else:
-                    exp[int(body) - 1] += 1
-            else:
-                coeff = coeff * Scalar(field, field.parse_value(factor))
-        key = tuple(exp)
-        prev = terms.get(key)
-        total = coeff if prev is None else prev + coeff
-        if total.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = total
-    return terms
+                factor = factor[1:-1]
+            try:
+                value = field.parse_value(factor)
+            except ValueError as exc:
+                raise ValueError(f"bad coefficient {factor!r} in {field}") from exc
+            coeff = field.mul(coeff, value)
+        return tuple(exp), coeff
+
+    s = s.strip()
+    if s == "0":
+        return {}
+    return _collect(field, (term(chunk) for chunk in s.split(" + ")))
 
 
 class FieldPolynomial:
-    """A polynomial over F_q with arbitrary nonnegative exponents.
+    """A sparse polynomial over F_q, {exponent tuple: raw coefficient}, with
+    arbitrary nonnegative exponents.
 
-    Used by the multilinearity tests, which must also handle polynomials
-    outside the q-power operad.
+    With a total-degree `cap` it is an element of the free commutative
+    algebra on `arity` generators truncated above that degree: terms past
+    the cap are dropped on construction and in products.  The linearity
+    test evaluates polynomials, also outside the q-power operad, in such a
+    truncation.  Operands must share field, arity and cap.
     """
 
-    __slots__ = ("field", "arity", "terms")
+    __slots__ = ("field", "arity", "cap", "terms")
 
-    def __init__(self, field: FiniteField, arity: int, terms=None):
-        self.field = field
-        self.arity = arity
+    def __init__(self, field: FiniteField, arity: int, terms=None, cap: int | None = None):
         clean = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != arity or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp}")
-            if not isinstance(coeff, Scalar):
-                coeff = field.scalar(coeff)
-            if coeff.domain != field:
-                raise FieldMismatch("coefficient from a different field")
-            if not coeff.is_zero():
+            if cap is not None and sum(exp) > cap:
+                continue
+            coeff = _coerce(field, coeff)
+            if coeff != field.zero_raw:
                 clean[exp] = coeff
-        self.terms = clean
+        self.field, self.arity, self.cap, self.terms = field, arity, cap, clean
+
+    def _like(self, terms):
+        """A polynomial in the same ring on a clean term dict, unchecked."""
+        out = object.__new__(FieldPolynomial)
+        out.field, out.arity, out.cap, out.terms = self.field, self.arity, self.cap, terms
+        return out
 
     @classmethod
-    def variable(cls, field, arity, i):
+    def variable(cls, field, arity, i, cap=None):
         exp = tuple(1 if j == i - 1 else 0 for j in range(arity))
-        return cls(field, arity, {exp: field.one()})
+        return cls(field, arity, {exp: field.one_raw}, cap)
 
     @classmethod
-    def monomial(cls, field, exponents, coeff=None):
+    def monomial(cls, field, exponents, coeff=None, cap=None):
         exponents = tuple(exponents)
-        c = field.one() if coeff is None else coeff
-        return cls(field, len(exponents), {exponents: c})
+        c = field.one_raw if coeff is None else coeff
+        return cls(field, len(exponents), {exponents: c}, cap)
 
     def _check(self, other):
         if self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
-        if self.arity != other.arity:
-            raise ValueError("polynomials in different variable counts")
+        if self.arity != other.arity or self.cap != other.cap:
+            raise TruncationMismatch(
+                "polynomials in different variable counts or truncations"
+            )
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldPolynomial)
             and self.field == other.field
             and self.arity == other.arity
+            and self.cap == other.cap
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.field, self.arity, _sorted_terms(self.terms)))
+        return hash((self.field, self.arity, self.cap, _sorted_terms(self.terms)))
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp)
-            total = c if s is None else s + c
-            if total.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = total
-        return FieldPolynomial(self.field, self.arity, out)
+        return self._like(_collect(self.field, chain(self.terms.items(), other.terms.items())))
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(exp)
-                total = c if s is None else s + c
-                if total.is_zero():
-                    out.pop(exp, None)
-                else:
-                    out[exp] = total
-        return FieldPolynomial(self.field, self.arity, out)
+        cap, times = self.cap, self.field.mul
+
+        def products():
+            for e1, c1 in self.terms.items():
+                room = None if cap is None else cap - sum(e1)
+                for e2, c2 in other.terms.items():
+                    if room is None or sum(e2) <= room:
+                        yield tuple(map(add, e1, e2)), times(c1, c2)
+
+        return self._like(_collect(self.field, products()))
 
     def __pow__(self, e: int):
-        out = FieldPolynomial(self.field, self.arity, {(0,) * self.arity: self.field.one()})
+        out = self._like({(0,) * self.arity: self.field.one_raw})
         base = self
         while e:
             if e & 1:
@@ -182,10 +207,12 @@ class FieldPolynomial:
             e >>= 1
         return out
 
-    def scale(self, c: Scalar):
-        return FieldPolynomial(
-            self.field, self.arity, {e: v * c for e, v in self.terms.items()}
-        )
+    def scale(self, c):
+        c = _coerce(self.field, c)
+        if c == self.field.zero_raw:
+            return self._like({})
+        times = self.field.mul
+        return self._like({e: times(v, c) for e, v in self.terms.items()})
 
     def max_total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -194,10 +221,11 @@ class FieldPolynomial:
         return not self.terms
 
     def __str__(self):
-        return _format_terms(self.field, self.arity, self.terms)
+        return _format_terms(self.field, self.terms)
 
     def __repr__(self):
-        return f"FieldPolynomial({self.field}, {self})"
+        cap = "" if self.cap is None else f", cap={self.cap}"
+        return f"FieldPolynomial({self.field}, {self}{cap})"
 
     @classmethod
     def parse(cls, field, arity, s):
@@ -211,7 +239,7 @@ class QPolynomial:
 
     field: FiniteField
     arity: int
-    terms: tuple  # canonical sorted ((exp, coeff), ...)
+    terms: tuple  # canonical sorted ((exp, raw coeff), ...)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -227,11 +255,8 @@ class QPolynomial:
                     f"exponents {exp} are not all powers of q={q} (every variable "
                     "must occur with a q-power exponent)"
                 )
-            if not isinstance(coeff, Scalar):
-                coeff = self.field.scalar(coeff)
-            if coeff.domain != self.field:
-                raise FieldMismatch("coefficient from a different field")
-            if not coeff.is_zero():
+            coeff = _coerce(self.field, coeff)
+            if coeff != self.field.zero_raw:
                 norm[exp] = coeff
         object.__setattr__(self, "terms", _sorted_terms(norm))
 
@@ -243,27 +268,21 @@ class QPolynomial:
     def monomial(cls, field, exponents, coeff=None):
         exponents = tuple(exponents)
         return cls.from_terms(
-            field, len(exponents), {exponents: coeff if coeff is not None else field.one()}
+            field, len(exponents), {exponents: field.one_raw if coeff is None else coeff}
         )
 
     @classmethod
     def variable(cls, field, arity=1, i=1):
         return cls.monomial(field, tuple(1 if j == i - 1 else 0 for j in range(arity)))
 
-    def __post_check(self):
-        pass
-
-    def term_dict(self):
-        return dict(self.terms)
-
     def as_polynomial(self) -> FieldPolynomial:
-        return FieldPolynomial(self.field, self.arity, self.term_dict())
+        return FieldPolynomial(self.field, self.arity, dict(self.terms))
 
     def is_zero(self):
         return not self.terms
 
     def __str__(self):
-        return _format_terms(self.field, self.arity, self.term_dict())
+        return _format_terms(self.field, dict(self.terms))
 
     @classmethod
     def parse(cls, field, arity, s):
@@ -273,46 +292,26 @@ class QPolynomial:
 def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
     """Substitute g for X_i in f.
 
-    X_i^(q^e) becomes g^(q^e), expanded monomial-wise through Frobenius:
-    (sum c_N N)^(q^e) = sum c_N^(q^e) N^(q^e).  Remaining variables of f are
-    shifted above the block i..i+n-1, like monomials recombine, and zero
-    coefficients drop out.  The q-power shape is preserved.
+    X_i^(q^e) becomes g^(q^e) = sum c_N N^(q^e): the q^e-th power map is
+    additive in characteristic p and fixes every c in F_q.  The variables of
+    f after X_i are shifted above the block i..i+n-1, like monomials
+    recombine, and zero coefficients drop out.  The q-power shape is
+    preserved.
     """
     if f.field != g.field:
         raise FieldMismatch("operands over different fields")
     m, n = f.arity, g.arity
     if not 1 <= i <= m:
         raise PositionOutOfRange(f"slot {i} out of 1..{m}")
-    q = f.field.q
-    out = {}
-    gterms = g.term_dict()
-    for exp, coeff in f.term_dict().items():
-        e_i = exp[i - 1]
-        height = 0
-        x = e_i
-        while x > 1:
-            x //= q
-            height += 1
-        # the fixed part of the monomial, with f's variables reindexed
-        fixed = [0] * (m + n - 1)
-        for j, e in enumerate(exp, start=1):
-            if j == i:
-                continue
-            pos = j - 1 if j < i else j + n - 2
-            fixed[pos] = e
-        for gexp, gcoeff in gterms.items():
-            new_exp = list(fixed)
-            for j, e in enumerate(gexp):
-                new_exp[i - 1 + j] = e * e_i
-            key = tuple(new_exp)
-            c = coeff * frobenius_pow(gcoeff, height)
-            prev = out.get(key)
-            total = c if prev is None else prev + c
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return QPolynomial.from_terms(f.field, m + n - 1, out)
+    times = f.field.mul
+
+    def terms():
+        for exp, coeff in f.terms:
+            e_i, before, after = exp[i - 1], exp[: i - 1], exp[i:]
+            for gexp, gcoeff in g.terms:
+                yield before + tuple(e * e_i for e in gexp) + after, times(coeff, gcoeff)
+
+    return QPolynomial.from_terms(f.field, m + n - 1, _collect(f.field, terms()))
 
 
 def qpoly_perm_act(sigma, f: QPolynomial) -> QPolynomial:
@@ -320,13 +319,12 @@ def qpoly_perm_act(sigma, f: QPolynomial) -> QPolynomial:
     if len(sigma) != f.arity:
         raise OperadMismatch("permutation arity mismatch")
     out = {}
-    for exp, coeff in f.term_dict().items():
+    for exp, coeff in f.terms:
         new_exp = [0] * f.arity
         for k, e in enumerate(exp):
             new_exp[sigma[k] - 1] = e
         out[tuple(new_exp)] = coeff
     return QPolynomial.from_terms(f.field, f.arity, out)
-
 
 def qpoly_operad(field: FiniteField) -> OperadDescriptor:
     def enumerate_arity(n, size_bound):
@@ -502,134 +500,29 @@ def rewrite_once(tree):
     return results
 
 
-# -- the truncated polynomial ring used for linearity testing -----------------
+# -- the linearity test, in a degree-capped polynomial ring -------------------
 
-class TruncatedSymElement:
-    """Element of the free commutative algebra on m generators, truncated
-    above total degree `cap`."""
-
-    __slots__ = ("field", "nvars", "cap", "terms")
-
-    def __init__(self, field, nvars, cap, terms=None):
-        self.field = field
-        self.nvars = nvars
-        self.cap = cap
-        clean = {}
-        for exp, coeff in (terms or {}).items():
-            exp = tuple(exp)
-            if sum(exp) > cap:
-                continue
-            if not isinstance(coeff, Scalar):
-                coeff = field.scalar(coeff)
-            if not coeff.is_zero():
-                clean[exp] = coeff
-        self.terms = clean
-
-    @classmethod
-    def generator(cls, field, nvars, cap, i):
-        exp = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return cls(field, nvars, cap, {exp: field.one()})
-
-    @classmethod
-    def zero(cls, field, nvars, cap):
-        return cls(field, nvars, cap)
-
-    def _check(self, other):
-        if (
-            self.field != other.field
-            or self.nvars != other.nvars
-            or self.cap != other.cap
-        ):
-            raise TruncationMismatch("elements from different truncated rings")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSymElement)
-            and self.field == other.field
-            and self.nvars == other.nvars
-            and self.cap == other.cap
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, self.cap, _sorted_terms(self.terms)))
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp)
-            total = c if s is None else s + c
-            if total.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = total
-        return TruncatedSymElement(self.field, self.nvars, self.cap, out)
-
-    def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > self.cap:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(exp)
-                total = c if s is None else s + c
-                if total.is_zero():
-                    out.pop(exp, None)
-                else:
-                    out[exp] = total
-        return TruncatedSymElement(self.field, self.nvars, self.cap, out)
-
-    def __pow__(self, e: int):
-        out = TruncatedSymElement(
-            self.field, self.nvars, self.cap, {(0,) * self.nvars: self.field.one()}
-        )
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def scale(self, c: Scalar):
-        return TruncatedSymElement(
-            self.field, self.nvars, self.cap, {e: v * c for e, v in self.terms.items()}
-        )
-
-    def __str__(self):
-        return _format_terms(self.field, self.nvars, self.terms)
-
-    def __repr__(self):
-        return f"TruncatedSymElement({self})"
-
-
-def eval_poly(f, args) -> TruncatedSymElement:
-    """Evaluate a polynomial at truncated-ring elements by substitution."""
+def eval_poly(f, args) -> FieldPolynomial:
+    """Evaluate a polynomial by substituting elements of one (usually
+    degree-capped) polynomial ring for its variables."""
     if isinstance(f, QPolynomial):
         f = f.as_polynomial()
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} arguments")
-    first = args[0] if args else None
-    if first is None:
+    if not args:
         raise ValueError("nullary evaluation is not defined here")
+    first = args[0]
     for a in args:
         first._check(a)
     if f.field != first.field:
         raise TruncationMismatch("polynomial and arguments over different fields")
-    acc = TruncatedSymElement.zero(first.field, first.nvars, first.cap)
+    acc = first._like({})
     for exp, coeff in f.terms.items():
-        term = TruncatedSymElement(
-            first.field, first.nvars, first.cap, {(0,) * first.nvars: coeff}
-        )
+        term = first ** 0  # the constant 1 of the ring
         for a, e in zip(args, exp):
             if e:
-                term = term * (a ** e)
-        acc = acc + term
+                term = term * a ** e
+        acc = acc + term.scale(coeff)
     return acc
 
 
@@ -643,8 +536,8 @@ class MultilinearityVerdict:
 
 
 def multilinearity_check(f, cap: int | None = None) -> MultilinearityVerdict:
-    """Decide whether Ev_f is linear in each slot, testing in the truncated
-    free commutative algebra on n+1 generators.
+    """Decide whether Ev_f is linear in each slot, testing in the free
+    commutative algebra on n+1 generators capped at total degree `cap`.
 
     Additivity in slot i substitutes e_i + e_{n+1}; homogeneity scales slot i
     by every field element.  The cap must be at least n * deg(f) so that no
@@ -659,7 +552,7 @@ def multilinearity_check(f, cap: int | None = None) -> MultilinearityVerdict:
     if cap < needed:
         raise CapTooSmall(f"cap {cap} below n*deg(f) = {needed}")
     field = f.field
-    gens = [TruncatedSymElement.generator(field, n + 1, cap, i) for i in range(1, n + 2)]
+    gens = [FieldPolynomial.variable(field, n + 1, i, cap) for i in range(1, n + 2)]
     base_args = gens[:n]
     extra = gens[n]
     base_val = eval_poly(f, base_args)
@@ -677,10 +570,9 @@ def multilinearity_check(f, cap: int | None = None) -> MultilinearityVerdict:
                 f"f(..,e{i + 1},..) + f(..,e{n + 1},..)",
             )
         for v in field.elements():
-            alpha = Scalar(field, v)
             args_scaled = list(base_args)
-            args_scaled[i] = base_args[i].scale(alpha)
-            if eval_poly(f, args_scaled) != base_val.scale(alpha):
+            args_scaled[i] = base_args[i].scale(v)
+            if eval_poly(f, args_scaled) != base_val.scale(v):
                 return MultilinearityVerdict(
                     False,
                     f"homogeneity fails in slot {i + 1} at alpha = "

@@ -78,11 +78,6 @@ def _word(arity, letters) -> ReducedWord:
     return w
 
 
-def word(arity, letters) -> ReducedWord:
-    """Build a reduced word from signed letters, reducing if necessary."""
-    return free_reduce(letters, arity)
-
-
 def free_reduce(letters, arity: int) -> ReducedWord:
     """The unique reduced form, by stack cancellation of adjacent inverse pairs."""
     for v in letters:
@@ -204,10 +199,6 @@ def reduced_word_count(n: int, length: int) -> int:
     if n == 0:
         return 0
     return 2 * n * (2 * n - 1) ** (length - 1)
-
-
-def format_word(w: ReducedWord) -> str:
-    return str(w)
 
 
 def parse_word(s: str, arity: int) -> ReducedWord:

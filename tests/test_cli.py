@@ -57,6 +57,17 @@ def test_usage_error_exit_code():
         ["central-mod", "--ring", "6"],
         ["graded", "--ring", "zmod:2", "--window", "-1"],
         ["graded", "--ring", "zmod:2", "--arity", "-1"],
+        ["central-set", "--n", "-1"],
+        ["qpoly", "check", "--f", "X1^^2"],
+        ["qpoly", "check", "--arity", "2", "--f", "X3"],
+        ["qpoly", "compose", "--f", "X1"],
+        ["qpoly", "compose", "--f", "X1^3", "--g", "X1"],
+        ["word", "compose", "--w1", "y1"],
+        ["word", "compose"],
+        ["word", "reduce", "--letters", "1,a"],
+        ["word", "eval", "--builtin", "z2", "--w1", "x1", "--args", "5"],
+        ["monoid", "--table", "0,1;1,x"],
+        ["group-maps", "--table", "0,1;1,x"],
     ],
 )
 def test_bad_ring_or_size_is_a_usage_error(capsys, argv):
@@ -64,6 +75,15 @@ def test_bad_ring_or_size_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("ring", ["zmod:4", "2"])
+def test_central_mod_rank_zero(capsys, ring):
+    for arity in ("0", "1"):
+        code, doc = run_cli(capsys, ["central-mod", "--ring", ring, "--rank", "0", "--arity", arity])
+        assert code == 0
+        validate(doc)
+        assert doc["result"]["transformation_count"] == 1
 
 
 def test_failed_recheck_is_a_json_error(capsys, monkeypatch):

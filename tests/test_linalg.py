@@ -43,6 +43,18 @@ def test_kron_power_identity_and_scalar():
     assert kron_power(a, 0) == ExactMatrix.identity(QQ, 1)
 
 
+def test_matrices_without_rows_keep_their_column_count():
+    Z4 = IntegersMod(4)
+    empty = ExactMatrix(Z4, [], 1)
+    assert (empty.nrows, empty.ncols) == (0, 1)
+    assert (ExactMatrix(Z4, []).ncols, ExactMatrix.zeros(Z4, 0, 3).ncols) == (0, 3)
+    # a 0x1 map times the 1x1 identity, and a 1x0 map's transpose
+    assert (empty * ExactMatrix.identity(Z4, 1)).ncols == 1
+    assert (empty.transpose().nrows, empty.transpose().ncols) == (1, 0)
+    wide = empty.kron(ExactMatrix.zeros(Z4, 2, 3))
+    assert (wide.nrows, wide.ncols) == (0, 3)
+
+
 def test_kron_square_f2_matches_index_formula():
     A = ExactMatrix(F2, [[1, 1], [0, 1]])
     K = kron_power(A, 2)

@@ -175,6 +175,16 @@ def test_negative_sizes_are_rejected(driver, args):
         driver(*args)
 
 
+@pytest.mark.parametrize("arity", [0, 1])
+def test_rank_zero_agrees_over_zmod_and_fields(arity):
+    # Hom((R^0)^(tensor n), R^0) is the zero module: one transformation
+    counts = {
+        str(dom): central_module(dom, 0, arity).to_json_dict()["transformation_count"]
+        for dom in (IntegersMod(4), finite_field(2))
+    }
+    assert counts == {"Z/4": 1, "F2": 1}
+
+
 # -- brute-force oracles over Z/m ------------------------------------------------
 #
 # The candidate enumeration the Z/m drivers used before they solved their

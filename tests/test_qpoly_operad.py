@@ -1,12 +1,19 @@
 """The q-power polynomial operad: substitution closure, the generator
-presentation, truncated-ring evaluation, and the linearity classification."""
+presentation, evaluation in degree-capped polynomial rings, and the
+linearity classification."""
 
 import random
 from itertools import product
 
 import pytest
 
-from endop.errors import CapTooSmall, FieldMismatch, MalformedTree, PositionOutOfRange
+from endop.errors import (
+    CapTooSmall,
+    FieldMismatch,
+    MalformedTree,
+    PositionOutOfRange,
+    TruncationMismatch,
+)
 from endop.operad_core import check_operad_axioms
 from endop.qpoly_operad import (
     FieldPolynomial,
@@ -14,7 +21,6 @@ from endop.qpoly_operad import (
     TreeLeaf,
     TreeMu,
     TreePq,
-    TruncatedSymElement,
     characterize_multilinear,
     enumerate_trees,
     eval_poly,
@@ -67,7 +73,8 @@ def test_compose_examples():
 
 
 def test_compose_multi_monomial_uses_frobenius():
-    # (X1^q) o ((g+1) X1 X2): coefficients ride through the q-power map
+    # (X1^q) o (g X1 X2) = g^q X1^q X2^q, and g^q = g: the q-power map fixes
+    # every coefficient, so compose never applies it
     g = F4.generator()
     f = QPolynomial.monomial(F4, (4,))
     s = QPolynomial.from_terms(F4, 2, {(1, 1): g})
@@ -87,7 +94,7 @@ def test_compose_closure_exhaustive():
                     h = qpoly_compose(f, i, g)
                     for exp, coeff in h.terms:
                         assert all(is_q_power(e, q) for e in exp)
-                        assert not coeff.is_zero()
+                        assert coeff != F.zero_raw
 
 
 def test_unit_and_axioms():
@@ -155,8 +162,8 @@ def test_monomial_tree_witnesses():
 
 
 def test_eval_poly_examples():
-    e1 = TruncatedSymElement.generator(F2, 2, 2, 1)
-    e2 = TruncatedSymElement.generator(F2, 2, 2, 2)
+    e1 = FieldPolynomial.variable(F2, 2, 1, cap=2)
+    e2 = FieldPolynomial.variable(F2, 2, 2, cap=2)
     f = FieldPolynomial.variable(F2, 1, 1)
     assert eval_poly(f, [e1]) == e1
     prod_poly = FieldPolynomial.monomial(F2, (1, 1))
@@ -167,11 +174,11 @@ def test_eval_poly_examples():
 
 
 def test_truncation_drops_high_degrees():
-    e1 = TruncatedSymElement.generator(F2, 1, 2, 1)
+    e1 = FieldPolynomial.variable(F2, 1, 1, cap=2)
     cube = e1 * e1 * e1
-    assert cube == TruncatedSymElement.zero(F2, 1, 2)
-    with pytest.raises(Exception):
-        e1 + TruncatedSymElement.generator(F2, 1, 3, 1)
+    assert cube == FieldPolynomial(F2, 1, cap=2)
+    with pytest.raises(TruncationMismatch):
+        e1 + FieldPolynomial.variable(F2, 1, 1, cap=3)
 
 
 def test_multilinearity_verdicts():
@@ -206,7 +213,7 @@ def test_frobenius_compatibility_of_evaluation():
     for F in (F2, F3):
         q = F.q
         cap = 2 * q * q
-        gens = [TruncatedSymElement.generator(F, 2, cap, i) for i in (1, 2)]
+        gens = [FieldPolynomial.variable(F, 2, i, cap) for i in (1, 2)]
         for _ in range(6):
             exp = (rng.choice((1, q)), rng.choice((1, q)))
             f = FieldPolynomial.monomial(F, exp)
@@ -227,3 +234,88 @@ def test_print_parse_round_trip():
         assert QPolynomial.parse(f.field, f.arity, str(f)) == f
     assert str(FieldPolynomial(F2, 1, {})) == "0"
     assert FieldPolynomial.parse(F2, 1, "0").is_zero()
+
+
+def _random_qpoly(rng, F, arity):
+    elements = [v for v in F.elements() if v != F.zero_raw]
+    terms = {
+        tuple(F.q ** rng.randrange(3) for _ in range(arity)): rng.choice(elements)
+        for _ in range(rng.randint(1, 3))
+    }
+    return QPolynomial.from_terms(F, arity, terms)
+
+
+def _substitute(f, i, g):
+    """f with g put in for X_i, computed with FieldPolynomial's own * and **
+    (so (sum c N)^(q^e) is multiplied out, with no Frobenius anywhere)."""
+    F, m, n = f.field, f.arity, g.arity
+    arity = m + n - 1
+    block = FieldPolynomial(
+        F, arity, {(0,) * (i - 1) + exp + (0,) * (m - i): c for exp, c in g.terms}
+    )
+    args = [FieldPolynomial.variable(F, arity, j if j < i else j + n - 1) for j in range(1, m + 1)]
+    args[i - 1] = block
+    return eval_poly(f, args)
+
+
+def test_compose_matches_substitution_oracle():
+    rng = random.Random(11)
+    for F in (F2, F3, F4):
+        cases = 0
+        for _ in range(40):
+            f = _random_qpoly(rng, F, rng.randint(1, 2))
+            g = _random_qpoly(rng, F, rng.randint(1, 2))
+            for i in range(1, f.arity + 1):
+                assert qpoly_compose(f, i, g).as_polynomial() == _substitute(f, i, g)
+                cases += 1
+        assert cases >= 40
+    # a coefficient outside the prime field, under a q-power in F_4
+    f = QPolynomial.parse(F4, 1, "X1^4")
+    g = QPolynomial.parse(F4, 2, "g*X1*X2 + X1^4*X2")
+    assert str(qpoly_compose(f, 1, g)) == "g*X1^4*X2^4 + X1^16*X2^4"
+    assert qpoly_compose(f, 1, g).as_polynomial() == _substitute(f, 1, g)
+
+
+def test_capped_product_drops_terms_above_the_cap():
+    rng = random.Random(3)
+    for F in (F2, F3, F4):
+        for _ in range(30):
+            arity, cap = rng.randint(1, 3), rng.randint(0, 6)
+            polys = [
+                {
+                    tuple(rng.randrange(4) for _ in range(arity)): rng.choice(F.elements())
+                    for _ in range(rng.randint(0, 4))
+                }
+                for _ in range(2)
+            ]
+            a, b = (FieldPolynomial(F, arity, t) for t in polys)
+            ac, bc = (FieldPolynomial(F, arity, t, cap) for t in polys)
+            assert ac.terms == {e: c for e, c in a.terms.items() if sum(e) <= cap}
+            assert (ac * bc).terms == {e: c for e, c in (a * b).terms.items() if sum(e) <= cap}
+            assert (ac ** 3).terms == {e: c for e, c in (a ** 3).terms.items() if sum(e) <= cap}
+            assert (ac + bc).cap == (ac * bc).cap == cap
+
+
+def test_coefficients_are_raw_field_values():
+    g = F4.generator()
+    f = QPolynomial.from_terms(F4, 1, {(1,): g, (4,): 1})
+    assert f.terms == (((1,), (0, 1)), ((4,), (1, 0)))
+    assert f == QPolynomial.from_terms(F4, 1, {(1,): (0, 1), (4,): (1, 0)})
+    assert hash(f) == hash(QPolynomial.parse(F4, 1, "g*X1 + X1^4"))
+    p = FieldPolynomial(F3, 1, {(2,): 5, (1,): 3})  # 5 = 2 and 3 = 0 in F_3
+    assert p.terms == {(2,): (2,)}
+    assert p.scale(F3.scalar(2)) == p.scale(2) == FieldPolynomial(F3, 1, {(2,): 1})
+    with pytest.raises(FieldMismatch):
+        FieldPolynomial(F2, 1, {(1,): F3.one()})
+    with pytest.raises(FieldMismatch):
+        QPolynomial.from_terms(F2, 1, {(1,): F4.one()})
+    with pytest.raises(FieldMismatch):
+        FieldPolynomial.variable(F2, 1, 1) * FieldPolynomial.variable(F3, 1, 1)
+    with pytest.raises(TruncationMismatch):
+        FieldPolynomial.variable(F2, 1, 1) + FieldPolynomial.variable(F2, 2, 1)
+
+
+@pytest.mark.parametrize("text", ["X1^^2", "X0", "X3", "X1^-1", "h*X1", "X1**X2", "(g)*X1"])
+def test_parse_rejects_malformed_polynomials(text):
+    with pytest.raises(ValueError, match="bad "):
+        FieldPolynomial.parse(F3, 2, text)
