@@ -34,6 +34,7 @@ from .qpoly_operad import (
     QPolynomial,
     characterize_multilinear,
     generated_submonomials,
+    is_q_power,
     multilinearity_check,
     qpoly_compose,
     qpoly_operad,
@@ -103,7 +104,7 @@ def _parse_arg(flag, text, parse):
 def _non_negative(**sizes):
     for flag, v in sizes.items():
         if v < 0:
-            raise SystemExit2(f"--{flag} must be non-negative, got {v}")
+            raise SystemExit2(f"--{flag.replace('_', '-')} must be non-negative, got {v}")
 
 
 def _operad_by_name(name, args):
@@ -152,6 +153,7 @@ def cmd_monoid(args):
 
 def cmd_group_maps(args):
     G = parse_table(args)
+    _non_negative(arity=args.arity, word_length=args.word_length)
     rep = finite_group_natural_maps(G, args.arity, args.word_length)
     return rep.to_json_dict()
 
@@ -175,6 +177,7 @@ def cmd_word(args):
             raise SystemExit2(f"--args {args.args!r} names elements outside 0..{size - 1}")
         return {"value": group_eval(w, G, elems)}
     if args.action == "enumerate":
+        _non_negative(arity1=args.arity1, max_length=args.max_length)
         words = word_enumerate(args.arity1, args.max_length)
         return {"count": len(words), "words": [str(w) for w in words]}
     raise SystemExit2(f"unknown word action {args.action!r}")
@@ -183,9 +186,9 @@ def cmd_word(args):
 def cmd_perm(args):
     if args.action == "compose":
         out = perm_compose(
-            PermElement(args.arity1, args.index1),
+            _parse_arg("--index1", args.index1, lambda i: PermElement(args.arity1, i)),
             args.at,
-            PermElement(args.arity2, args.index2),
+            _parse_arg("--index2", args.index2, lambda i: PermElement(args.arity2, i)),
         )
         return {"arity": out.arity, "index": out.index}
     if args.action == "check":
@@ -196,12 +199,16 @@ def cmd_perm(args):
 
 
 def cmd_qpoly(args):
-    field = parse_field(args.field) if args.field else finite_field(args.q or 2)
+    if args.field:
+        field = _parse_arg("--field", args.field, parse_field)
+    else:
+        field = _parse_arg("--q", args.q or 2, finite_field)
     if args.action == "compose":
         f = _parse_arg("--f", args.f, lambda s: QPolynomial.parse(field, args.arity1, s))
         g = _parse_arg("--g", args.g, lambda s: QPolynomial.parse(field, args.arity2, s))
         return {"polynomial": str(qpoly_compose(f, args.at, g))}
     if args.action == "classify":
+        _non_negative(arity=args.arity)
         good, bad = characterize_multilinear(args.arity, args.maxdeg, field)
         return {
             "field": field.to_json_dict(),
@@ -213,6 +220,9 @@ def cmd_qpoly(args):
         verdict = multilinearity_check(f, args.cap)
         return {"multilinear": verdict.multilinear, "witness": verdict.witness}
     if args.action == "generate":
+        _non_negative(arity=args.arity)
+        if not is_q_power(args.exp_bound, field.q):
+            raise SystemExit2(f"--exp-bound {args.exp_bound} must be a power of q={field.q}")
         pairs = generated_submonomials(args.arity, args.exp_bound, field)
         return {
             "monomials": [{"monomial": str(m), "tree": str(t)} for m, t in pairs]
@@ -221,8 +231,9 @@ def cmd_qpoly(args):
 
 
 def cmd_schur_weyl(args):
+    _non_negative(dimension=args.dimension, arity=args.arity, generators=args.generators)
     if args.all_gl:
-        field = parse_field(args.field or "2^1")
+        field = _parse_arg("--field", args.field or "2^1", parse_field)
         gens = all_invertible_matrices(field, args.dimension)
         basis = equivariant_homs(gens, args.arity)
         return {

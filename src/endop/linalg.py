@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import BoundExceeded, DomainMismatch, NotInvertible, UnsupportedDomain
 from .perms import all_perms, invert_perm
@@ -62,15 +64,18 @@ class ExactMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
             and self.domain == other.domain
             and self.data == other.data
         )
 
     def __hash__(self):
-        return hash((self.domain, self.data))
+        return hash((self.domain, self.nrows, self.ncols, self.data))
 
     def __add__(self, other):
         self._check(other)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
         add = self.domain.add
         return ExactMatrix(
             self.domain,
@@ -94,17 +99,14 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         dom = self.domain
         add, mul, zero = dom.add, dom.mul, dom.zero_raw
-        cols = list(zip(*other.data)) if other.data else []
         out = []
         for row in self.data:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a != zero and b != zero:
-                        acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(tuple(out_row))
+            # the row's combination of the rows of other
+            acc = [zero] * other.ncols
+            for a, brow in zip(row, other.data):
+                if a != zero:
+                    acc = [x if b == zero else add(x, mul(a, b)) for x, b in zip(acc, brow)]
+            out.append(tuple(acc))
         return ExactMatrix._canonical(dom, tuple(out), other.ncols)
 
     def scale(self, c):
@@ -145,8 +147,8 @@ def kron_power(m: ExactMatrix, n: int) -> ExactMatrix:
     """n-fold Kronecker power; the 1x1 identity for n = 0."""
     if n < 0:
         raise ValueError("negative tensor power")
-    out = ExactMatrix.identity(m.domain, 1)
-    for _ in range(n):
+    out = ExactMatrix.identity(m.domain, 1) if n == 0 else m
+    for _ in range(n - 1):
         out = out.kron(m)
     return out
 
@@ -244,6 +246,7 @@ def nullspace(m: ExactMatrix):
 # to and including that pivot's column.  It is computed by gcd elimination
 # with annihilator rows, as in Storjohann & Mulders, "Fast algorithms for
 # linear algebra modulo N" (ESA 1998).  Rows are lists of ints in 0..m-1.
+# The solver below takes each step's kernel from here over Z/m.
 
 
 def _unit_normaliser(a, m):
@@ -289,20 +292,6 @@ def howell_form(rows, m, ncols):
     return rows[:r]
 
 
-def _howell_remainder(pivoted, v, m):
-    """v reduced by a Howell basis given as (pivot column, row) pairs; zero
-    exactly when v lies in its span."""
-    for c, row in pivoted:
-        x = v[c]
-        if x:
-            p = row[c]
-            if x % p:
-                return v
-            q = x // p
-            v = [(y - q * b) % m for y, b in zip(v, row)]
-    return v
-
-
 def _kernel_generators(basis, m, ncols):
     """Howell basis of {x : H x = 0} for the Howell basis H, read off the
     Howell form of [H^T | I]: its rows that vanish on the H^T block."""
@@ -326,28 +315,6 @@ def _span_elements(generators, m, ncols):
             for c in range(m // pivot)
         ]
     return elements
-
-
-def zmod_kernel(rows, ncols, m, cap):
-    """All x in (Z/m)^ncols with <row, x> = 0 for every row, in lexicographic
-    order.
-
-    `rows` may be any iterable and is consumed one row at a time: each row
-    is reduced by the running Howell basis, which is recomputed only when a
-    row falls outside its span.  Raises BoundExceeded, before listing
-    anything, when the solution module has more than `cap` elements.
-    """
-    basis, pivoted = [], []
-    for row in rows:
-        v = _howell_remainder(pivoted, row, m)
-        if any(v):
-            basis = howell_form(basis + [v], m, ncols)
-            pivoted = [(next(j for j, x in enumerate(g) if x), g) for g in basis]
-    generators = _kernel_generators(basis, m, ncols)
-    count = math.prod(m // next(x for x in g if x) for g in generators)
-    if count > cap:
-        raise BoundExceeded(f"{count} solutions mod {m} exceed the enumeration cap")
-    return sorted(_span_elements(generators, m, ncols))
 
 
 @dataclass(frozen=True)
@@ -380,9 +347,7 @@ class HomBasis:
             return [ExactMatrix.zeros(dom, self.codomain_dim, self.domain_dim)]
         dom = self.matrices[0].domain
         out = []
-        from itertools import product as iproduct
-
-        for coeffs in iproduct(dom.elements(), repeat=len(self.matrices)):
+        for coeffs in product(dom.elements(), repeat=len(self.matrices)):
             acc = ExactMatrix.zeros(dom, self.codomain_dim, self.domain_dim)
             for c, m in zip(coeffs, self.matrices):
                 acc = acc + m.scale(c)
@@ -394,99 +359,103 @@ class HomBasis:
 
 
 # ---------------------------------------------------------------------------
-# Equivariant hom spaces.
+# Linear naturality conditions: the one solver.
 #
-# The unknown is a d_cod x d_dom matrix Phi subject to A_g Phi = Phi B_g for
-# each generator g, where B_g is the tensor power acting on the source and
-# A_g is the action on the target.  Generators are intersected one at a time:
-# the running solution space is carried as a sparse matrix basis, and each
-# step solves the restricted linear system exactly.
+# The unknowns are matrices Phi_o, one per object o, whose free entries are
+# the given cells (o, row, column); every other entry is zero.  A condition
+# (src, dst, A, B) asks A Phi_src = Phi_dst B.  Conditions are intersected
+# one at a time: the running solutions are carried as sparse generators
+# keyed by cell, starting from the cells' unit vectors, and each step solves
+# the small system the condition restricts to on their span.  Over a field
+# that is elimination, and the generators stay the canonical basis of
+# eliminating every condition at once (each vector ends in a 1, in a column
+# where the others are 0).  Over Z/m it is the Howell form, and the
+# generators span the solution module.
 
 
-def _vec_index(i, j, ncols):
-    return i * ncols + j
+def _restricted_condition_rows(generators, src, dst, A, B, dom):
+    """The nonzero rows of A Phi_src - Phi_dst B on the generators' span: one
+    row per entry of the residual, one column per generator."""
+    zero, add, sub, mul = dom.zero_raw, dom.add, dom.sub, dom.mul
+    width, k = B.ncols, len(generators)
+    a_cols = [
+        [(i, x) for i, x in enumerate(col) if x != zero]
+        for col in (zip(*A.data) if A.data else [()] * A.ncols)
+    ]
+    b_rows = [[(j, x) for j, x in enumerate(row) if x != zero] for row in B.data]
+    rows = defaultdict(lambda: [zero] * k)
+    for t, gen in enumerate(generators):
+        for (o, a, b), v in gen.items():
+            if o == src:
+                for i, x in a_cols[a]:
+                    row = rows[i * width + b]
+                    row[t] = add(row[t], mul(x, v))
+            if o == dst:
+                for j, x in b_rows[b]:
+                    row = rows[a * width + j]
+                    row[t] = sub(row[t], mul(v, x))
+    return [row for row in rows.values() if any(x != zero for x in row)]
 
 
-def _full_condition_rows(A, B, dom):
-    dcod, ddom = A.nrows, B.nrows
-    zero = dom.zero_raw
-    add, sub = dom.add, dom.sub
-    rows = []
-    for i in range(dcod):
-        Ai = A.data[i]
-        for j in range(ddom):
-            row = [zero] * (dcod * ddom)
-            for a in range(dcod):
-                if Ai[a] != zero:
-                    col = _vec_index(a, j, ddom)
-                    row[col] = add(row[col], Ai[a])
-            for b in range(ddom):
-                if B.data[b][j] != zero:
-                    col = _vec_index(i, b, ddom)
-                    row[col] = sub(row[col], B.data[b][j])
-            rows.append(row)
-    return rows
-
-
-def _restricted_condition_rows(basis, A, B, dom):
-    """Columns are vec(A Phi_t - Phi_t B) for the sparse basis matrices."""
-    dcod, ddom = A.nrows, B.nrows
-    zero = dom.zero_raw
-    add, sub, mul = dom.add, dom.sub, dom.mul
-    ncols = len(basis)
-    rows = [[zero] * ncols for _ in range(dcod * ddom)]
-    for t, phi in enumerate(basis):
-        for (a, b), v in phi.items():
-            for i in range(dcod):
-                coeff = A.data[i][a]
-                if coeff != zero:
-                    idx = _vec_index(i, b, ddom)
-                    rows[idx][t] = add(rows[idx][t], mul(coeff, v))
-            for j in range(ddom):
-                coeff = B.data[b][j]
-                if coeff != zero:
-                    idx = _vec_index(a, j, ddom)
-                    rows[idx][t] = sub(rows[idx][t], mul(v, coeff))
-    return rows
-
-
-def _sparse_from_vec(vec, ddom, zero):
-    return {
-        (divmod(idx, ddom)): v for idx, v in enumerate(vec) if v != zero
-    }
-
-
-def _intersect_conditions(condition_pairs, dcod, ddom, dom, basis=None):
-    """Running sparse basis of the solution space of A Phi = Phi B."""
-    zero = dom.zero_raw
-    for A, B in condition_pairs:
-        if basis is not None and not basis:
+def _intersect_conditions(conditions, cells, dom, generators=None):
+    """Sparse generators of the solutions of every condition (src, dst, A, B),
+    A Phi_src = Phi_dst B, in the unknown cells; by default the intersection
+    starts from the cells' unit vectors, and it stops once none is left."""
+    zero, add, mul = dom.zero_raw, dom.add, dom.mul
+    if generators is None:
+        generators = [{cell: dom.one_raw} for cell in cells]
+    for src, dst, A, B in conditions:
+        if not generators:
             break
-        if basis is None:
-            rows = _full_condition_rows(A, B, dom)
-            kernel = _kernel_of_rows(rows, dom, dcod * ddom)
-            basis = [_sparse_from_vec(v, ddom, zero) for v in kernel]
+        rows = _restricted_condition_rows(generators, src, dst, A, B, dom)
+        if not rows:
+            continue
+        k = len(generators)
+        if dom.is_field:
+            kernel = _kernel_of_rows(rows, dom, k)
         else:
-            rows = _restricted_condition_rows(basis, A, B, dom)
-            kernel = _kernel_of_rows(rows, dom, len(basis))
-            new_basis = []
-            for coeffs in kernel:
-                acc = {}
-                for c, phi in zip(coeffs, basis):
-                    if c == zero:
-                        continue
-                    for cell, v in phi.items():
-                        s = dom.add(acc.get(cell, zero), dom.mul(c, v))
-                        if s == zero:
-                            acc.pop(cell, None)
-                        else:
-                            acc[cell] = s
-                new_basis.append(acc)
-            basis = new_basis
-    if basis is None:
-        # no conditions: the whole matrix space
-        basis = [{(i, j): dom.one_raw} for i in range(dcod) for j in range(ddom)]
-    return basis
+            kernel = _kernel_generators(howell_form(rows, dom.size, k), dom.size, k)
+        combined = []
+        for coeffs in kernel:
+            acc = {}
+            for c, gen in zip(coeffs, generators):
+                if c == zero:
+                    continue
+                for cell, v in gen.items():
+                    s = add(acc.get(cell, zero), mul(c, v))
+                    if s == zero:
+                        acc.pop(cell, None)
+                    else:
+                        acc[cell] = s
+            if acc:
+                combined.append(acc)
+        generators = combined
+    return generators
+
+
+def solution_generators(conditions, cells, dom):
+    """Generators of the solutions as flat tuples over `cells`: over a field
+    the canonical basis of the solution space, over Z/m a generating set of
+    the solution module."""
+    index = {cell: k for k, cell in enumerate(cells)}
+    out = []
+    for gen in _intersect_conditions(conditions, cells, dom):
+        vec = [dom.zero_raw] * len(cells)
+        for cell, v in gen.items():
+            vec[index[cell]] = v
+        out.append(tuple(vec))
+    return out
+
+
+def module_elements(generators, m, ncols, cap):
+    """Every element of the span of the generators mod m, once each, in
+    lexicographic order.  Raises BoundExceeded, before listing anything, when
+    there are more than `cap`."""
+    basis = howell_form(generators, m, ncols)
+    count = math.prod(m // next(x for x in g if x) for g in basis)
+    if count > cap:
+        raise BoundExceeded(f"{count} solutions mod {m} exceed the enumeration cap")
+    return sorted(_span_elements(basis, m, ncols))
 
 
 def _basis_to_matrices(basis, dcod, ddom, dom):
@@ -494,7 +463,7 @@ def _basis_to_matrices(basis, dcod, ddom, dom):
     mats = []
     for phi in basis:
         rows = [[zero] * ddom for _ in range(dcod)]
-        for (i, j), v in phi.items():
+        for (_, i, j), v in phi.items():
             rows[i][j] = v
         mats.append(ExactMatrix(dom, rows, ddom))
     return HomBasis(ddom, dcod, tuple(mats), dom)
@@ -504,7 +473,9 @@ def intertwiner_basis(condition_pairs, dcod, ddom, dom) -> HomBasis:
     """Solve A Phi = Phi B for every (A, B) pair; the pairs need not come
     from invertible maps.  Returns a basis of the joint solution space."""
     _require_field(dom)
-    basis = _intersect_conditions(condition_pairs, dcod, ddom, dom)
+    conditions = [(0, 0, A, B) for A, B in condition_pairs]
+    cells = [(0, i, j) for i in range(dcod) for j in range(ddom)]
+    basis = _intersect_conditions(conditions, cells, dom)
     return _basis_to_matrices(basis, dcod, ddom, dom)
 
 
@@ -590,6 +561,8 @@ def diagonal_prime_matrix(domain, d: int) -> ExactMatrix:
 def random_invertible_generators(domain, d: int, count: int, seed: int = 0):
     """Deterministic pseudorandom invertible matrices, preceded by the
     diagonal matrix with distinct prime entries."""
+    if d < 0:
+        raise ValueError(f"dimension {d} must be non-negative")
     rng = random.Random(seed)
     gens = [diagonal_prime_matrix(domain, d)]
     while len(gens) < count:
@@ -602,11 +575,11 @@ def random_invertible_generators(domain, d: int, count: int, seed: int = 0):
 
 def all_invertible_matrices(domain, d: int):
     """Every element of GL_d over a finite domain (tiny sizes only)."""
-    from itertools import product as iproduct
-
+    if d < 0:
+        raise ValueError(f"dimension {d} must be non-negative")
     els = domain.elements()
     out = []
-    for flat in iproduct(els, repeat=d * d):
+    for flat in product(els, repeat=d * d):
         rows = [flat[i * d : (i + 1) * d] for i in range(d)]
         m = ExactMatrix(domain, rows)
         if matrix_rank(m) == d:
@@ -622,13 +595,12 @@ def schur_weyl_dimension(d: int, n: int, count: int = 8, seed: int = 0, domain=Q
     solution space and intersects the extra conditions into it, which gives
     the same space as solving the doubled system from scratch.
     """
+    if d < 0 or n < 0:
+        raise ValueError(f"dimension {d} and tensor power {n} must be non-negative")
     doubled = random_invertible_generators(domain, d, 2 * count, seed)
-    ddom = d ** n
-    pairs = []
-    for g in doubled:
-        B = kron_power(g, n)
-        pairs.append((B, B))
-    sparse = _intersect_conditions(pairs[:count], ddom, ddom, domain)
-    basis = _basis_to_matrices(sparse, ddom, ddom, domain)
-    sparse2 = _intersect_conditions(pairs[count:], ddom, ddom, domain, basis=sparse)
+    cells = [(0, i, j) for i in range(d ** n) for j in range(d ** n)]
+    conditions = [(0, 0, B, B) for B in (kron_power(g, n) for g in doubled)]
+    sparse = _intersect_conditions(conditions[:count], cells, domain)
+    basis = _basis_to_matrices(sparse, d ** n, d ** n, domain)
+    sparse2 = _intersect_conditions(conditions[count:], cells, domain, sparse)
     return basis.dimension, basis.dimension == len(sparse2), basis

@@ -1,17 +1,21 @@
-"""Brute-force computation of natural transformations F^n -> F over finite
-full subcategories.
+"""Exact computation of natural transformations F^n -> F over finite full
+subcategories.
 
-Each driver fixes a forgetful functor and the single free object the
-computation restricts to, enumerates (or solves for) every transformation
-compatible with all morphisms of that subcategory, re-verifies every
-survivor before emitting it, and returns a NaturalityReport.
+Each computation fixes a forgetful functor and the objects it restricts
+to, finds every transformation compatible with all morphisms of that
+subcategory, re-verifies every survivor before emitting it, and returns a
+NaturalityReport.  For sets, monoids and groups the candidates are
+enumerated.  For modules and graded modules the conditions are linear, and
+one shared routine solves them with the one solver of `linalg`, over fields
+and Z/m alike.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 
 from .errors import (
     BoundExceeded,
@@ -23,10 +27,9 @@ from .errors import (
 from .linalg import (
     ExactMatrix,
     HomBasis,
-    _full_condition_rows,
-    intertwiner_basis,
     kron_power,
-    zmod_kernel,
+    module_elements,
+    solution_generators,
 )
 from .word_operad import group_eval, word_enumerate
 
@@ -381,91 +384,109 @@ def _module_generator_family(domain, r):
     return gens
 
 
-def _module_condition_holds(phi: ExactMatrix, f: ExactMatrix, n: int) -> bool:
-    return f * phi == phi * kron_power(f, n)
+def _natural_solutions(domain, shapes, cells, morphisms, n):
+    """The re-checked survivors of f . phi_src == phi_dst . f^(tensor n) for
+    every morphism (src, dst, f) that morphisms() yields, as flat tuples over
+    the unknown cells (object, row, column) of the maps phi_o of shape
+    shapes[o], and the report's counts.  Over a field they are the canonical
+    basis of the solutions; over Z/m, every solution, sorted, at most
+    CANDIDATE_CAP."""
+    def conditions():
+        for src, dst, f in morphisms():
+            yield src, dst, f, kron_power(f, n)
+
+    survivors = solution_generators(conditions(), cells, domain)
+    if domain.is_field:
+        extra = {"dimension": len(survivors), "transformation_count": domain.size ** len(survivors)}
+    else:
+        survivors = module_elements(survivors, domain.size, len(cells), CANDIDATE_CAP)
+        extra = {"transformation_count": len(survivors)}
+    for start in range(0, len(survivors), 256):  # bounds the re-check's memory
+        _recheck(domain, shapes, cells, survivors[start : start + 256], conditions())
+    return survivors, extra
+
+
+def _recheck(domain, shapes, cells, survivors, conditions):
+    """Raise VerificationFailed unless f . phi_src == phi_dst . f^(tensor n)
+    for every survivor and condition, in ExactMatrix arithmetic: per
+    condition, one product on every survivor placed side by side and one on
+    every survivor stacked."""
+    zero, count = domain.zero_raw, len(survivors)
+    wide = [[[zero] * (count * q) for _ in range(p)] for p, q in shapes]
+    tall = [[[zero] * q for _ in range(count * p)] for p, q in shapes]
+    for k, (o, a, b) in enumerate(cells):
+        p, q = shapes[o]
+        for s, vec in enumerate(survivors):
+            wide[o][a][s * q + b] = tall[o][s * p + a][b] = vec[k]
+    wide = [ExactMatrix(domain, rows, count * q) for rows, (_, q) in zip(wide, shapes)]
+    tall = [ExactMatrix(domain, rows, q) for rows, (_, q) in zip(tall, shapes)]
+    for src, dst, f, fn in conditions:
+        left, right = f * wide[src], tall[dst] * fn
+        p, q = shapes[dst][0], shapes[src][1]
+        # row u of the left product holds every survivor's row u side by
+        # side; the right product holds them at rows u, u + p, u + 2p, ...
+        if all(left.data[u] == tuple(chain.from_iterable(right.data[u::p])) for u in range(p)):
+            continue
+        s = next(
+            s for s in range(count)
+            if any(left.data[u][s * q : (s + 1) * q] != right.data[s * p + u] for u in range(p))
+        )
+        p = shapes[src][0]
+        raise VerificationFailed(
+            f"survivor {ExactMatrix(domain, tall[src].data[s * p : (s + 1) * p], q).to_json()}"
+            f" on object {src} is not natural for {f.to_json()} from object {src} to {dst}"
+        )
 
 
 def central_module(domain, rank: int, arity: int) -> NaturalityReport:
     """Natural maps (R^r)^(tensor n) -> R^r over the one-object subcategory
     on the free module R^r.
 
-    The compatibility conditions are linear.  Over a field they are solved
-    by exact elimination; over a composite Z/m they are solved in Howell
-    form and every element of the solution module is listed, at most
-    CANDIDATE_CAP of them.  When the full endomorphism monoid is too large
-    to enumerate, a generator family stands in and survivors are
-    re-verified against a deterministic pseudorandom sample, with
-    complete=False.
+    Over a field the report carries a basis of the solutions, over Z/m every
+    solution.  When the full endomorphism monoid is too large to enumerate, a
+    generator family and a seeded sample of SAMPLE_VERIFICATIONS further
+    endomorphisms stand in, with complete=False.
     """
     if not domain.is_finite:
         raise UnsupportedDomain("central_module expects a finite ring F_q or Z/m")
     if rank < 0 or arity < 0:
         raise ValueError(f"rank {rank} and arity {arity} must be non-negative")
     r, n = rank, arity
-    size = domain.size
-    full_monoid = size ** (r * r) <= HOM_ENUMERATION_CAP
-    if full_monoid:
-        morphisms = list(_all_square_matrices(domain, r))
-        complete = True
-    else:
-        morphisms = _module_generator_family(domain, r)
-        complete = False
+    width = r ** n
+    complete = domain.size ** (r * r) <= HOM_ENUMERATION_CAP
+    family = None if complete else _module_generator_family(domain, r)
+
+    def morphisms():
+        # generated afresh for each pass, so that no list of them is kept
+        if complete:
+            yield from ((0, 0, f) for f in _all_square_matrices(domain, r))
+            return
+        yield from ((0, 0, f) for f in family)
+        rng, els = random.Random(0), domain.elements()
+        for _ in range(SAMPLE_VERIFICATIONS):
+            flat = [[els[rng.randrange(domain.size)] for _ in range(r)] for _ in range(r)]
+            yield 0, 0, ExactMatrix(domain, flat)
 
     with _Timer() as tm:
-        if domain.is_field:
-            pairs = [(f, kron_power(f, n)) for f in morphisms]
-            basis = intertwiner_basis(pairs, r, r ** n, domain)
-            for mat in basis.matrices:
-                if not all(_module_condition_holds(mat, f, n) for f in morphisms):
-                    raise VerificationFailed(f"basis matrix {mat.to_json()} is not natural")
-            survivors = basis.matrices
-            extra = {"dimension": basis.dimension, "transformation_count": size ** basis.dimension}
-            basis_out = basis
-        else:
-            width = r ** n
-            # one morphism's condition rows at a time
-            rows = (
-                row
-                for f in morphisms
-                for row in _full_condition_rows(f, kron_power(f, n), domain)
-            )
-            kernel = zmod_kernel(rows, r * width, size, CANDIDATE_CAP)
-            survivors = [
-                ExactMatrix(domain, [flat[i * width : (i + 1) * width] for i in range(r)], width)
-                for flat in kernel
-            ]
-            if not complete:
-                import random as _random
-
-                rng = _random.Random(0)
-                for _ in range(SAMPLE_VERIFICATIONS):
-                    flat = [rng.randrange(size) for _ in range(r * r)]
-                    f = ExactMatrix(domain, [flat[i * r : (i + 1) * r] for i in range(r)])
-                    fb = kron_power(f, n)
-                    survivors = [phi for phi in survivors if f * phi == phi * fb]
-            for f in morphisms:
-                fb = kron_power(f, n)
-                for phi in survivors:
-                    if f * phi != phi * fb:
-                        raise VerificationFailed(
-                            f"survivor {phi.to_json()} is not natural for {f.to_json()}"
-                        )
-            extra = {"transformation_count": len(survivors)}
-            basis_out = None
-    rep = NaturalityReport(
+        cells = [(0, i, j) for i in range(r) for j in range(width)]
+        flat, extra = _natural_solutions(domain, [(r, width)], cells, morphisms, n)
+        survivors = [
+            ExactMatrix(domain, [vec[i * width : (i + 1) * width] for i in range(r)], width)
+            for vec in flat
+        ]
+    if not complete:
+        extra["method"] = "generator-based (sound but possibly over-approximating)"
+    extra["basis"] = HomBasis(width, r, tuple(survivors), domain) if domain.is_field else None
+    return NaturalityReport(
         context="central-module",
         arity=n,
         objects=[f"{domain}^{r}"],
-        morphisms=len(morphisms),
-        survivors=list(survivors),
+        morphisms=domain.size ** (r * r) if complete else len(family),
+        survivors=survivors,
         complete=complete,
         elapsed_ms=tm.ms,
         extra=extra,
     )
-    if not complete:
-        rep.extra["method"] = "generator-based (sound but possibly over-approximating)"
-    rep.extra["basis"] = basis_out
-    return rep
 
 
 # -- the central operad of graded modules ------------------------------------
@@ -510,9 +531,8 @@ def graded_central(domain, window: int, arity: int) -> NaturalityReport:
     graded modules spanned by the direct sums of n shifted copies of the
     ground ring, with degrees drawn from -window..window.
 
-    Within each degree the computation is the ungraded module computation at
-    the multiplicity of that degree.  The conditions are solved as in
-    central_module: by elimination over a field, in Howell form over Z/m.
+    The unknowns are the degree-matched cells of one map per object, solved
+    for as in central_module; survivors are flat tuples over these cells.
     """
     if not domain.is_finite:
         raise UnsupportedDomain("graded_central expects a finite ring")
@@ -521,100 +541,24 @@ def graded_central(domain, window: int, arity: int) -> NaturalityReport:
     n = arity
     objects = _graded_objects(window, n)
     with _Timer() as tm:
-        cell_index = {}
-        cells_of = {}
-        for oi, obj in enumerate(objects):
-            cells = _graded_cells(obj, n)
-            cells_of[oi] = cells
-            for cell in cells:
-                cell_index[(oi, *cell)] = len(cell_index)
-        unknowns = len(cell_index)
-
-        rows = []
-        hom_count = 0
-        conditions = []  # (src_idx, dst_idx, f) kept for the re-check
-        for si, src in enumerate(objects):
-            for di, dst in enumerate(objects):
-                for f in _graded_homs(src, dst, domain, HOM_ENUMERATION_CAP):
-                    hom_count += 1
-                    conditions.append((si, di, f))
-                    for u in range(len(dst)):
-                        for T in product(range(len(src)), repeat=n):
-                            row = {}
-                            for (t, TT) in cells_of[si]:
-                                if TT == T and f[u][t] != domain.zero_raw:
-                                    k = cell_index[(si, t, TT)]
-                                    row[k] = domain.add(row.get(k, domain.zero_raw), f[u][t])
-                            for (t, TT) in cells_of[di]:
-                                if t != u:
-                                    continue
-                                coeff = domain.one_raw
-                                for a, b in zip(TT, T):
-                                    coeff = domain.mul(coeff, f[a][b])
-                                if coeff != domain.zero_raw:
-                                    k = cell_index[(di, t, TT)]
-                                    row[k] = domain.sub(row.get(k, domain.zero_raw), coeff)
-                            if row:
-                                rows.append(row)
-
-        def check_assignment(values):
-            """values: flat tuple over the unknown cells."""
-            for si, di, f in conditions:
-                src, dst = objects[si], objects[di]
-                for u in range(len(dst)):
-                    for T in product(range(len(src)), repeat=n):
-                        lhs = domain.zero_raw
-                        for (t, TT) in cells_of[si]:
-                            if TT == T:
-                                lhs = domain.add(
-                                    lhs,
-                                    domain.mul(f[u][t], values[cell_index[(si, t, TT)]]),
-                                )
-                        rhs = domain.zero_raw
-                        for (t, TT) in cells_of[di]:
-                            if t != u:
-                                continue
-                            coeff = domain.one_raw
-                            for a, b in zip(TT, T):
-                                coeff = domain.mul(coeff, f[a][b])
-                            rhs = domain.add(rhs, domain.mul(coeff, values[cell_index[(di, t, TT)]]))
-                        if lhs != rhs:
-                            return False
-            return True
-
-        dense = []
-        zero = domain.zero_raw
-        for row in rows:
-            r = [zero] * unknowns
-            for k, v in row.items():
-                r[k] = v
-            dense.append(r)
-        if domain.is_field:
-            from .linalg import _kernel_of_rows
-
-            kernel = _kernel_of_rows(dense, domain, unknowns) if unknowns else []
-            for vec in kernel:
-                if not check_assignment(vec):
-                    raise VerificationFailed(f"basis vector {vec} is not natural")
-            dim = len(kernel)
-            survivors = list(kernel)
-            extra = {"dimension": dim, "transformation_count": domain.size ** dim}
-        else:
-            survivors = zmod_kernel(dense, unknowns, domain.size, CANDIDATE_CAP)
-            for vals in survivors:
-                if not check_assignment(vals):
-                    raise VerificationFailed(f"survivor {vals} is not natural")
-            extra = {"transformation_count": len(survivors)}
-
+        cells = [(oi, t, T) for oi, obj in enumerate(objects) for t, T in _graded_cells(obj, n)]
+        morphisms = [
+            (si, di, ExactMatrix(domain, f, len(src)))
+            for si, src in enumerate(objects)
+            for di, dst in enumerate(objects)
+            for f in _graded_homs(src, dst, domain, HOM_ENUMERATION_CAP)
+        ]
+        shapes = [(len(obj), len(obj) ** n) for obj in objects]
+        indexed = [(oi, t, tuple_index(T, len(objects[oi]))) for oi, t, T in cells]
+        survivors, extra = _natural_solutions(domain, shapes, indexed, lambda: morphisms, n)
         extra["cells"] = [
-            {"object": str(objects[oi]), "out": t, "in": list(T)}
-            for (oi, t, T) in cell_index
+            {"object": str(objects[oi]), "out": t, "in": list(T)} for oi, t, T in cells
         ]
     return NaturalityReport(
         context="graded-central",
         arity=n,
         objects=[str(o) for o in objects],
-        morphisms=hom_count,
+        morphisms=len(morphisms),
         survivors=survivors,
         complete=True,
         elapsed_ms=tm.ms,

@@ -68,6 +68,20 @@ def test_usage_error_exit_code():
         ["word", "eval", "--builtin", "z2", "--w1", "x1", "--args", "5"],
         ["monoid", "--table", "0,1;1,x"],
         ["group-maps", "--table", "0,1;1,x"],
+        ["qpoly", "generate", "--exp-bound", "3"],
+        ["qpoly", "generate", "--arity", "-1"],
+        ["qpoly", "classify", "--arity", "-1"],
+        ["qpoly", "check", "--q", "6", "--f", "X1"],
+        ["qpoly", "check", "--field", "2^5", "--f", "X1"],
+        ["perm", "compose", "--index1", "9"],
+        ["schur-weyl", "--arity", "-1"],
+        ["word", "enumerate", "--max-length", "-2"],
+        ["group-maps", "--builtin", "z2", "--arity", "-1"],
+        ["schur-weyl", "--dimension", "-1"],
+        ["schur-weyl", "--generators", "-1"],
+        ["schur-weyl", "--all-gl", "--dimension", "-1"],
+        ["schur-weyl", "--all-gl", "--field", "6"],
+        ["group-maps", "--builtin", "z2", "--word-length", "-1"],
     ],
 )
 def test_bad_ring_or_size_is_a_usage_error(capsys, argv):
@@ -89,12 +103,13 @@ def test_central_mod_rank_zero(capsys, ring):
 def test_failed_recheck_is_a_json_error(capsys, monkeypatch):
     from endop import linalg
 
-    solved = linalg._kernel_generators
-    monkeypatch.setattr(linalg, "_kernel_generators", lambda *a: solved(*a) + [[0, 1, 0, 0]])
+    solved = linalg._intersect_conditions
+    monkeypatch.setattr(linalg, "_intersect_conditions", lambda *a: solved(*a) + [{(0, 0, 1): 1}])
     code, doc = run_cli(capsys, ["central-mod", "--ring", "zmod:4", "--rank", "2", "--arity", "1"])
     assert code == 1
     validate(doc)
     assert doc["error"]["name"] == "VerificationFailed"
+    assert doc["error"]["message"].startswith("survivor [['0 mod 4', '1 mod 4'], ")
 
 
 def test_qpoly_classify(capsys):

@@ -21,12 +21,13 @@ from endop.linalg import (
     intertwiner_basis,
     kron_power,
     matrix_rank,
+    module_elements,
     nullspace,
     permutation_operator,
     random_invertible_generators,
     schur_weyl_dimension,
+    solution_generators,
     symmetric_group_image_dim,
-    zmod_kernel,
 )
 from endop.perms import all_perms
 from endop.scalars import QQ, IntegersMod, finite_field
@@ -53,6 +54,30 @@ def test_matrices_without_rows_keep_their_column_count():
     assert (empty.transpose().nrows, empty.transpose().ncols) == (1, 0)
     wide = empty.kron(ExactMatrix.zeros(Z4, 2, 3))
     assert (wide.nrows, wide.ncols) == (0, 3)
+
+
+def test_matrix_shape_counts_in_sums_and_equality():
+    Z4 = IntegersMod(4)
+    with pytest.raises(ValueError):
+        ExactMatrix(Z4, [[1, 2]]) + ExactMatrix(Z4, [[1]])
+    with pytest.raises(ValueError):
+        ExactMatrix(Z4, [], 1) + ExactMatrix(Z4, [], 2)
+    # without rows, only the column count tells these apart
+    assert ExactMatrix(Z4, []) != ExactMatrix(Z4, [], 1)
+    assert ExactMatrix.zeros(Z4, 0, 2) == ExactMatrix(Z4, [], 2)
+    assert len({ExactMatrix(Z4, [], c) for c in range(3)}) == 3
+    assert ExactMatrix(Z4, [[1, 2]]) + ExactMatrix(Z4, [[3, 3]]) == ExactMatrix(Z4, [[0, 1]])
+
+
+def test_negative_dimensions_are_rejected():
+    with pytest.raises(ValueError):
+        schur_weyl_dimension(-1, 2)
+    with pytest.raises(ValueError):
+        schur_weyl_dimension(2, -1)
+    with pytest.raises(ValueError):
+        all_invertible_matrices(F2, -1)
+    with pytest.raises(ValueError):
+        equivariant_homs([ExactMatrix.identity(QQ, 2)], -1)
 
 
 def test_kron_square_f2_matches_index_formula():
@@ -236,6 +261,20 @@ def _random_system(rng, m, ncols, nrows):
     ]
 
 
+def _solve_rows(rows, ncols, m, cap):
+    """Every solution of the system <row, x> = 0, solved and listed: x is
+    the 1 x ncols unknown of object 1, and each row is the condition
+    0 . Phi_0 = Phi_1 B with B the row as a column; object 0 has no unknown
+    cells."""
+    R = IntegersMod(m)
+    conditions = (
+        (0, 1, ExactMatrix.zeros(R, 1, 1), ExactMatrix(R, [[x] for x in row], 1))
+        for row in rows
+    )
+    generators = solution_generators(conditions, [(1, 0, j) for j in range(ncols)], R)
+    return module_elements(generators, m, ncols, cap)
+
+
 @pytest.mark.parametrize("m", [4, 6, 8, 9, 12])
 def test_zmod_kernel_matches_brute_force(m):
     rng = random.Random(m)
@@ -247,7 +286,7 @@ def test_zmod_kernel_matches_brute_force(m):
             for x in product(range(m), repeat=ncols)
             if all(sum(a * b for a, b in zip(row, x)) % m == 0 for row in rows)
         ]
-        assert zmod_kernel(iter(rows), ncols, m, cap=m ** ncols) == brute, rows
+        assert _solve_rows(rows, ncols, m, cap=m ** ncols) == brute, rows
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 9, 12])
@@ -266,7 +305,7 @@ def test_howell_form_lists_its_span_once(m):
 
 def test_zmod_kernel_cap_is_checked_before_listing():
     # x + y = 0 over Z/8: eight solutions
-    assert len(zmod_kernel([[1, 1]], 2, 8, cap=8)) == 8
+    assert len(_solve_rows([[1, 1]], 2, 8, cap=8)) == 8
     with pytest.raises(BoundExceeded):
-        zmod_kernel([[1, 1]], 2, 8, cap=7)
-    assert zmod_kernel([], 0, 4, cap=1) == [()]
+        _solve_rows([[1, 1]], 2, 8, cap=7)
+    assert _solve_rows([], 0, 4, cap=1) == [()]

@@ -15,7 +15,7 @@ import pytest
 import endop
 from endop import naturality as nat
 from endop.errors import BoundExceeded, NotAGroup, NotAMonoid, UnsupportedDomain
-from endop.linalg import ExactMatrix
+from endop.linalg import ExactMatrix, kron_power, nullspace
 from endop.naturality import (
     SMALL_MONOID_TABLES,
     FiniteFunction,
@@ -304,8 +304,8 @@ def test_graded_central_matches_enumeration(m, window, arity):
 
 
 def test_survivor_recheck_runs_under_python_O():
-    """A wrong generator slipped into the Z/m kernel is caught by the
-    re-check, which must not be an assert that -O strips."""
+    """A wrong generator slipped into the solver's final generators is caught
+    by the re-check, which must not be an assert that -O strips."""
     script = textwrap.dedent(
         """
         import sys
@@ -314,8 +314,8 @@ def test_survivor_recheck_runs_under_python_O():
         from endop.scalars import IntegersMod
 
         assert sys.flags.optimize
-        solved = linalg._kernel_generators
-        linalg._kernel_generators = lambda *a: solved(*a) + [[0, 1, 0, 0]]
+        solved = linalg._intersect_conditions
+        linalg._intersect_conditions = lambda *a: solved(*a) + [{(0, 0, 1): 1}]
         try:
             naturality.central_module(IntegersMod(4), 2, 1)
         except VerificationFailed as exc:
@@ -329,6 +329,63 @@ def test_survivor_recheck_runs_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("VerificationFailed: survivor [['0 mod 4', '1 mod 4']")
+
+
+# -- the field basis against one elimination of every condition -----------------
+#
+# central_module and graded_central intersect the conditions one morphism
+# at a time.  The oracle writes every condition
+# f . phi_src - phi_dst . f^(tensor n) = 0 out as rows over the flat cells,
+# stacks them, and takes the nullspace once.
+
+def _stacked_nullspace(domain, cells, morphisms, n):
+    index = {cell: k for k, cell in enumerate(cells)}
+    rows = {}
+    for src, dst, f in morphisms:
+        fn = kron_power(f, n)
+        for i in range(f.nrows):
+            for j in range(fn.ncols):
+                row = [domain.zero_raw] * len(cells)
+                for (o, a, b), k in index.items():
+                    if o == src and b == j:
+                        row[k] = domain.add(row[k], f.data[i][a])
+                    if o == dst and a == i:
+                        row[k] = domain.sub(row[k], fn.data[b][j])
+                rows[tuple(row)] = None
+    return nullspace(ExactMatrix(domain, list(rows), len(cells)))
+
+
+ORACLE_FIELDS = (finite_field(2), finite_field(3), finite_field(4), IntegersMod(5))
+
+
+@pytest.mark.parametrize("domain", ORACLE_FIELDS, ids=str)
+@pytest.mark.parametrize("rank, arity", [(r, a) for r in (1, 2) for a in (0, 1, 2)])
+def test_central_module_basis_is_the_stacked_nullspace(domain, rank, arity):
+    cells = [(0, i, j) for i in range(rank) for j in range(rank ** arity)]
+    morphisms = [(0, 0, f) for f in nat._all_square_matrices(domain, rank)]
+    rep = central_module(domain, rank, arity)
+    flat = [tuple(a for row in m.data for a in row) for m in rep.survivors]
+    assert flat == _stacked_nullspace(domain, cells, morphisms, arity)
+    assert rep.extra["dimension"] == len(flat)
+
+
+@pytest.mark.parametrize("domain", ORACLE_FIELDS, ids=str)
+@pytest.mark.parametrize("window, arity", [(w, a) for w in (0, 1) for a in (0, 1, 2)])
+def test_graded_central_basis_is_the_stacked_nullspace(domain, window, arity):
+    objects = nat._graded_objects(window, arity)
+    cells = [
+        (oi, t, tuple_index(T, len(obj)))
+        for oi, obj in enumerate(objects)
+        for t, T in nat._graded_cells(obj, arity)
+    ]
+    morphisms = [
+        (si, di, ExactMatrix(domain, f, len(src)))
+        for si, src in enumerate(objects)
+        for di, dst in enumerate(objects)
+        for f in nat._graded_homs(src, dst, domain, nat.HOM_ENUMERATION_CAP)
+    ]
+    rep = graded_central(domain, window, arity)
+    assert rep.survivors == _stacked_nullspace(domain, cells, morphisms, arity)
 
 
 # -- graded modules -----------------------------------------------------------
