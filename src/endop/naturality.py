@@ -4,10 +4,10 @@ subcategories.
 Each computation fixes a forgetful functor and the objects it restricts
 to, finds every transformation compatible with all morphisms of that
 subcategory, re-verifies every survivor before emitting it, and returns a
-NaturalityReport.  For sets, monoids and groups the candidates are
-enumerated.  For modules and graded modules the conditions are linear, and
-one shared routine solves them with the one solver of `linalg`, over fields
-and Z/m alike.
+NaturalityReport.  For sets, monoids and groups one backtracking solver
+propagates the conditions cell by cell.  For modules and graded modules the
+conditions are linear, and one shared routine solves them with the one
+solver of `linalg`, over fields and Z/m alike.
 """
 
 from __future__ import annotations
@@ -55,16 +55,6 @@ class FiniteFunction:
     def __call__(self, x):
         return self.values[x]
 
-    def compose(self, other: "FiniteFunction") -> "FiniteFunction":
-        """self after other."""
-        if other.codomain_size != self.domain_size:
-            raise ValueError("composition shape mismatch")
-        return FiniteFunction(
-            other.domain_size,
-            self.codomain_size,
-            tuple(self.values[v] for v in other.values),
-        )
-
     def to_json(self):
         return list(self.values)
 
@@ -81,11 +71,6 @@ def tabulate(base: int, arity: int, fn) -> FiniteFunction:
     """Tabulate a map base^arity -> base as a FiniteFunction on tuple indices."""
     values = tuple(fn(args) for args in product(range(base), repeat=arity))
     return FiniteFunction(base ** arity, base, values)
-
-
-def tabulate_projection(n: int, i: int) -> FiniteFunction:
-    """The i-th coordinate projection [n]^n -> [n] (1-indexed slot)."""
-    return tabulate(n, n, lambda args: args[i - 1])
 
 
 def compose_tabulated(base, m, f1: FiniteFunction, i, n, f2: FiniteFunction):
@@ -286,70 +271,107 @@ class _Timer:
         return False
 
 
+# -- equivariant tables: one solver and one re-check --------------------------
+
+def _solve_tables(count, size, consequences, forced=()):
+    """Every table of `count` cells with values in range(size) that holds the
+    `forced` (cell, value) pairs and is closed under consequences(phi, c),
+    the pairs that cell c's value forces given the cells assigned so far
+    (None elsewhere).  The lowest unassigned cell takes each value in
+    ascending order, what it forces is propagated and a conflict backtracks,
+    so the tables come in the lexicographic order of product()."""
+    phi = [None] * count
+    tables = []
+
+    def assign(pairs, trail):
+        while pairs:
+            c, v = pairs.pop()
+            if phi[c] is None:
+                phi[c] = v
+                trail.append(c)
+                pairs.extend(consequences(phi, c))
+            elif phi[c] != v:
+                return False
+        return True
+
+    def search(c):
+        while c < count and phi[c] is not None:
+            c += 1
+        if c == count:
+            tables.append(tuple(phi))
+            return
+        for v in range(size):
+            trail = []
+            if assign([(c, v)], trail):
+                search(c + 1)
+            for u in trail:
+                phi[u] = None
+
+    if assign(list(forced), []):
+        search(0)
+    return tables
+
+
+def _recheck_tables(tables, maps, size, arity):
+    """Raise VerificationFailed unless phi(f.t) == f(phi(t)) for every table
+    phi, map f and tuple t of [size]^arity, f acting componentwise."""
+    for k, t in enumerate(product(range(size), repeat=arity)):
+        for f in maps:
+            j = tuple_index([f[a] for a in t], size)
+            for phi in tables:
+                if phi[j] != f[phi[k]]:
+                    raise VerificationFailed(f"survivor {phi} is not natural")
+
+
+def _equivariant_tables(maps, size, arity):
+    """The tables of every map phi: [size]^arity -> [size] with
+    phi(f.t) == f(phi(t)) for every map f and tuple t, f acting
+    componentwise, in lexicographic order and re-checked."""
+    tuples = list(product(range(size), repeat=arity))
+    actions = [(f, [tuple_index([f[a] for a in t], size) for t in tuples]) for f in maps]
+    tables = _solve_tables(
+        len(tuples), size, lambda phi, c: [(moved[c], f[phi[c]]) for f, moved in actions]
+    )
+    _recheck_tables(tables, maps, size, arity)
+    return tables
+
+
 # -- the central operad of finite sets ---------------------------------------
 
-def _set_naturality_holds(phi, endo, n):
-    """phi commutes with the endomap: phi(f a_1, .., f a_n) == f(phi(a))."""
-    for args in product(range(n), repeat=n):
-        mapped = tuple(endo[a] for a in args)
-        if phi[tuple_index(mapped, n)] != endo[phi[tuple_index(args, n)]]:
-            return False
-    return True
+def _central_set(n, endomaps, context, complete):
+    with _Timer() as tm:
+        survivors = _equivariant_tables(endomaps, n, n)
+    return NaturalityReport(
+        context=context,
+        arity=n,
+        objects=[f"[{n}]"],
+        morphisms=len(endomaps),
+        survivors=[FiniteFunction(n ** n, n, phi) for phi in survivors],
+        complete=complete,
+        elapsed_ms=tm.ms,
+    )
 
 
 def central_set_bruteforce(n: int, endomaps=None) -> NaturalityReport:
-    """All maps [n]^n -> [n] commuting with every endomap of [n], by full
-    enumeration of the n^(n^n) candidates.  Only feasible for n <= 2."""
+    """All maps [n]^n -> [n] commuting with every endomap of [n], or with the
+    given endomaps only (complete=False).  Bounded at n <= 2, where the
+    n^(n^n) candidate maps could still be enumerated."""
     if n > 2:
         raise BoundExceeded(f"cannot enumerate {n}^({n}^{n}) candidate maps")
-    with _Timer() as tm:
-        all_endos = [tuple(f) for f in product(range(n), repeat=n)]
-        conditions = all_endos if endomaps is None else [tuple(f) for f in endomaps]
-        survivors = []
-        for cand in product(range(n), repeat=n ** n):
-            if all(_set_naturality_holds(cand, f, n) for f in conditions):
-                survivors.append(cand)
-        # emission re-check against the full morphism list
-        for phi in survivors:
-            if not all(_set_naturality_holds(phi, f, n) for f in conditions):
-                raise VerificationFailed(f"survivor {phi} is not natural")
-        out = [FiniteFunction(n ** n, n, phi) for phi in survivors] if n > 0 else []
-    return NaturalityReport(
-        context="central-set-bruteforce",
-        arity=n,
-        objects=[f"[{n}]"],
-        morphisms=len(conditions),
-        survivors=out,
-        complete=endomaps is None,
-        elapsed_ms=tm.ms,
-    )
+    if endomaps is None:
+        maps = list(product(range(n), repeat=n))
+    else:
+        maps = [FiniteFunction(n, n, tuple(f)).values for f in endomaps]
+    return _central_set(n, maps, "central-set-bruteforce", endomaps is None)
 
 
 def central_set_determined(n: int) -> NaturalityReport:
-    """Candidates forced by the value at (1,..,n): each candidate value v
-    induces the v-th projection, which is then checked against every endomap
-    and every tuple.  For n = 0 there are no candidate values at all."""
+    """All maps [n]^n -> [n] commuting with every endomap of [n], solved by
+    propagation: a value at one tuple forces the values along its orbit
+    under the endomaps.  For n = 0 there are no values at all."""
     if n > 4:
         raise BoundExceeded("determination check bounded at n <= 4")
-    with _Timer() as tm:
-        endos = [tuple(f) for f in product(range(n), repeat=n)]
-        survivors = []
-        for v in range(n):
-            phi = tuple(args[v] for args in product(range(n), repeat=n))
-            if all(_set_naturality_holds(phi, f, n) for f in endos):
-                survivors.append(FiniteFunction(n ** n, n, phi))
-        for s in survivors:
-            if not all(_set_naturality_holds(s.values, f, n) for f in endos):
-                raise VerificationFailed(f"survivor {s.values} is not natural")
-    return NaturalityReport(
-        context="central-set-determined",
-        arity=n,
-        objects=[f"[{n}]"],
-        morphisms=len(endos),
-        survivors=survivors,
-        complete=True,
-        elapsed_ms=tm.ms,
-    )
+    return _central_set(n, list(product(range(n), repeat=n)), "central-set-determined", True)
 
 
 # -- the central operad of R-modules -----------------------------------------
@@ -569,26 +591,12 @@ def graded_central(domain, window: int, arity: int) -> NaturalityReport:
 # -- reconstruction of a finite monoid ---------------------------------------
 
 def mset_endomorphisms(M: FiniteMonoidTable):
-    """Brute-force search for the maps psi with psi(m.x) = m.psi(x); these are
-    the endomorphisms of M as a left module over itself."""
+    """The maps psi with psi(m.x) = m.psi(x), in lexicographic order: the
+    endomorphisms of M as a left module over itself."""
     m = M.size
     if m ** m > CANDIDATE_CAP:
         raise BoundExceeded(f"{m}^{m} candidate maps is too many")
-    table = M.table
-    out = []
-    for psi in product(range(m), repeat=m):
-        ok = True
-        for a in range(m):
-            row = table[a]
-            for x in range(m):
-                if psi[row[x]] != row[psi[x]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(psi)
-    return out
+    return _equivariant_tables(M.table, m, 1)
 
 
 def monoid_reconstruction(M: FiniteMonoidTable) -> NaturalityReport:
@@ -605,22 +613,7 @@ def monoid_reconstruction(M: FiniteMonoidTable) -> NaturalityReport:
         raise BoundExceeded("monoid reconstruction bounded at order 6")
     with _Timer() as tm:
         psis = mset_endomorphisms(M)
-        survivors = []
-        for phi in product(range(m), repeat=m):
-            ok = True
-            for psi in psis:
-                for x in range(m):
-                    if phi[psi[x]] != psi[phi[x]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                survivors.append(phi)
-        for phi in survivors:
-            if not all(phi[psi[x]] == psi[phi[x]] for psi in psis for x in range(m)):
-                raise VerificationFailed(f"survivor {phi} is not natural")
-
+        survivors = _equivariant_tables(psis, m, 1)
         left_mults = {a: tuple(M.table[a][x] for x in range(m)) for a in range(m)}
         surv_set = set(survivors)
         match_left = set(left_mults.values()) == surv_set and len(left_mults) == len(surv_set)
@@ -648,37 +641,29 @@ def monoid_reconstruction(M: FiniteMonoidTable) -> NaturalityReport:
 # -- natural maps on a fixed finite group -------------------------------------
 
 def monoid_endomorphisms(M: FiniteMonoidTable):
-    """All unit-preserving multiplicative self-maps, by exhaustive search."""
+    """All unit-preserving multiplicative self-maps, in lexicographic order."""
     m = M.size
     if m ** m > CANDIDATE_CAP:
         raise BoundExceeded(f"{m}^{m} candidate maps is too many")
     table = M.table
-    unit = M.unit
-    out = []
-    for f in product(range(m), repeat=m):
-        if f[unit] != unit:
-            continue
-        ok = True
-        for a in range(m):
-            fa = f[a]
-            row = table[a]
-            for b in range(m):
-                if f[row[b]] != table[fa][f[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(f)
-    return out
+
+    def consequences(f, a):
+        # f(a.b) = f(a).f(b) and f(b.a) = f(b).f(a) for every b assigned so far
+        fa, pairs = f[a], []
+        for b, fb in enumerate(f):
+            if fb is not None:
+                pairs += [(table[a][b], table[fa][fb]), (table[b][a], table[fb][fa])]
+        return pairs
+
+    return _solve_tables(m, m, consequences, forced=[(M.unit, M.unit)])
 
 
 def finite_group_natural_maps(
     G: FiniteMonoidTable, arity: int, word_length_bound: int = 3
 ) -> NaturalityReport:
-    """All maps G^n -> G commuting with every group endomorphism of G, found
-    exhaustively, together with the sublist realized by evaluating reduced
-    words of bounded length.
+    """All maps G^n -> G commuting with every group endomorphism of G,
+    together with the sublist realized by evaluating reduced words of
+    bounded length.
 
     Word images are natural against arbitrary group homomorphisms, so they
     always land among the survivors; the report records both counts and any
@@ -692,32 +677,8 @@ def finite_group_natural_maps(
         raise BoundExceeded(f"{g}^({g}^{n}) candidate maps exceed the enumeration cap")
     with _Timer() as tm:
         endos = monoid_endomorphisms(G)
+        survivors = _equivariant_tables(endos, g, n)
         tuples = list(product(range(g), repeat=n))
-        checks = []
-        for f in endos:
-            mapped = [tuple_index(tuple(f[a] for a in args), g) for args in tuples]
-            checks.append((f, mapped))
-        # constants first: they prune hardest
-        checks.sort(key=lambda fm: (len(set(fm[0])), fm[0]))
-        survivors = []
-        for phi in product(range(g), repeat=g ** n):
-            ok = True
-            for f, mapped in checks:
-                for idx in range(len(tuples)):
-                    if phi[mapped[idx]] != f[phi[idx]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                survivors.append(phi)
-        for phi in survivors:
-            if not all(
-                phi[mapped[idx]] == f[phi[idx]]
-                for f, mapped in checks
-                for idx in range(len(tuples))
-            ):
-                raise VerificationFailed(f"survivor {phi} is not natural")
         word_tables = {}
         for w in word_enumerate(n, word_length_bound):
             tbl = tuple(group_eval(w, G, args) for args in tuples)

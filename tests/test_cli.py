@@ -1,13 +1,18 @@
 """CLI behavior: envelope shape against the shipped schema, exit codes,
 determinism, and a few end-to-end subcommand results."""
 
+import contextlib
+import io
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endop import acceptance, cli
+from endop.naturality import SMALL_MONOID_TABLES
 
 SCHEMA = json.loads(
     resources.files("endop").joinpath("schemas/report.schema.json").read_text()
@@ -89,6 +94,57 @@ def test_bad_ring_or_size_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+
+
+def _grids(row_sizes):
+    """m rows of entries from -1 to m, each row's length drawn by row_sizes(m)."""
+    return st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            st.integers(*row_sizes(m)).flatmap(
+                lambda k: st.lists(st.integers(-1, m), min_size=k, max_size=k)
+            ),
+            min_size=m,
+            max_size=m,
+        )
+    )
+
+
+TABLES = st.one_of(
+    st.sampled_from(SMALL_MONOID_TABLES),
+    _grids(lambda m: (m, m)),
+    _grids(lambda m: (m - 1, m + 1)),  # ragged rows, an empty one when m = 1
+).map(lambda rows: ";".join(",".join(map(str, row)) for row in rows))
+
+ARGVS = st.one_of(
+    st.builds(
+        lambda n, method: ["central-set", "--n", str(n), "--method", method],
+        st.one_of(st.integers(0, 3), st.integers(5, 9)),
+        st.sampled_from(["auto", "bruteforce", "determined"]),
+    ),
+    st.builds(lambda t: ["monoid", "--table=" + t], TABLES),
+    st.builds(
+        lambda t, a: ["group-maps", "--table=" + t, "--arity", str(a)],
+        TABLES,
+        st.integers(0, 2),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ARGVS)
+def test_fuzzed_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        assert code in (0, 1)
+        validate(json.loads(out.getvalue()))
 
 
 @pytest.mark.parametrize("ring", ["zmod:4", "2"])

@@ -11,12 +11,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import endop
 from endop import naturality as nat
 from endop.errors import BoundExceeded, NotAGroup, NotAMonoid, UnsupportedDomain
 from endop.linalg import ExactMatrix, kron_power, nullspace
 from endop.naturality import (
+    BUILTIN_TABLES,
     SMALL_MONOID_TABLES,
     FiniteFunction,
     FiniteMonoidTable,
@@ -27,17 +30,91 @@ from endop.naturality import (
     cyclic_group,
     finite_group_natural_maps,
     graded_central,
+    monoid_endomorphisms,
     mset_endomorphisms,
     monoid_reconstruction,
     small_monoids,
     symmetric_group_3,
     tabulate,
-    tabulate_projection,
     trivial_monoid,
     tuple_index,
 )
 from endop.operad_core import PermElement, perm_compose
 from endop.scalars import IntegersMod, finite_field
+
+
+# -- brute-force oracles over tables ------------------------------------------
+#
+# The candidate loops the set, monoid and group computations ran before they
+# propagated their conditions: every table in product() order, kept when it
+# satisfies every condition.
+
+def natural_tables(maps, size, arity):
+    """Tables of phi: [size]^arity -> [size] with phi(f.t) == f(phi(t))."""
+    tuples = list(product(range(size), repeat=arity))
+    moved = [(f, [tuple_index([f[a] for a in t], size) for t in tuples]) for f in maps]
+    return [
+        phi for phi in product(range(size), repeat=len(tuples))
+        if all(phi[j] == f[phi[k]] for f, js in moved for k, j in enumerate(js))
+    ]
+
+
+def multiplicative_tables(M):
+    """Tables of the unit-preserving multiplicative self-maps of M."""
+    m = M.size
+    return [
+        f for f in product(range(m), repeat=m)
+        if f[M.unit] == M.unit
+        and all(f[M.mul(a, b)] == M.mul(f[a], f[b]) for a in range(m) for b in range(m))
+    ]
+
+
+def test_central_set_reports_match_the_oracle():
+    for n in (0, 1, 2):
+        oracle = natural_tables(list(product(range(n), repeat=n)), n, n)
+        for solve in (central_set_bruteforce, central_set_determined):
+            assert [s.values for s in solve(n).survivors] == oracle, (solve, n)
+    # past the oracle's reach, the survivors are the projections in order
+    # (n = 3 is pinned in test_central_set_determined_matches_bruteforce)
+    assert [s.values for s in central_set_determined(4).survivors] == [
+        tabulate(4, 4, lambda args, i=i: args[i]).values for i in range(4)
+    ]
+
+
+@pytest.mark.parametrize(
+    "M", small_monoids() + [make() for make in BUILTIN_TABLES.values()], ids=lambda M: M.name
+)
+def test_monoid_computations_match_the_oracle(M):
+    psis = natural_tables(M.table, M.size, 1)
+    assert mset_endomorphisms(M) == psis
+    assert [s.values for s in monoid_reconstruction(M).survivors] == natural_tables(psis, M.size, 1)
+    assert monoid_endomorphisms(M) == multiplicative_tables(M)
+
+
+@pytest.mark.parametrize(
+    "name, arity",
+    [("z2", 0), ("z2", 1), ("z2", 2), ("z3", 0), ("z3", 1), ("z3", 2), ("s3", 1), ("z6", 1)],
+)
+def test_group_maps_match_the_oracle(name, arity):
+    G = BUILTIN_TABLES[name]()
+    rep = finite_group_natural_maps(G, arity)
+    oracle = natural_tables(multiplicative_tables(G), G.size, arity)
+    assert [s.values for s in rep.survivors] == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.integers(0, 2),
+            st.lists(st.tuples(*[st.integers(0, k - 1)] * k), max_size=4),
+        )
+    )
+)
+def test_equivariant_tables_match_the_oracle(case):
+    k, arity, maps = case
+    assert nat._equivariant_tables(maps, k, arity) == natural_tables(maps, k, arity)
 
 
 # -- central operad of sets ---------------------------------------------------
@@ -60,7 +137,7 @@ def test_central_set_determined_matches_bruteforce():
         assert {s.values for s in det.survivors} == {s.values for s in brute.survivors}
     r3 = central_set_determined(3)
     assert [s.values for s in r3.survivors] == [
-        tabulate_projection(3, i).values for i in (1, 2, 3)
+        tabulate(3, 3, lambda args, i=i: args[i - 1]).values for i in (1, 2, 3)
     ]
     assert central_set_determined(4).count == 4
     with pytest.raises(BoundExceeded):
@@ -74,6 +151,13 @@ def test_central_set_monotone_in_the_morphism_set():
     for k in range(len(all_endos) + 1):
         partial = central_set_bruteforce(2, endomaps=all_endos[:k])
         assert full <= {s.values for s in partial.survivors}
+        assert [s.values for s in partial.survivors] == natural_tables(all_endos[:k], 2, 2)
+
+
+@pytest.mark.parametrize("endomap", [(-1, 0), (1, 0, 1), (0, 5)])
+def test_central_set_endomaps_are_validated(endomap):
+    with pytest.raises(ValueError):
+        central_set_bruteforce(2, endomaps=[(0, 1), endomap])
 
 
 def test_survivor_composition_matches_projection_operad():
@@ -303,32 +387,51 @@ def test_graded_central_matches_enumeration(m, window, arity):
     )
 
 
-def test_survivor_recheck_runs_under_python_O():
-    """A wrong generator slipped into the solver's final generators is caught
-    by the re-check, which must not be an assert that -O strips."""
-    script = textwrap.dedent(
-        """
-        import sys
-        from endop import linalg, naturality
-        from endop.errors import VerificationFailed
-        from endop.scalars import IntegersMod
+RECHECK_INJECTIONS = [
+    (
+        "solved = linalg._intersect_conditions\n"
+        "linalg._intersect_conditions = lambda *a: solved(*a) + [{(0, 0, 1): 1}]",
+        "naturality.central_module(IntegersMod(4), 2, 1)",
+        "survivor [['0 mod 4', '1 mod 4']",
+    ),
+    (
+        # only the natural maps of Z/2 in arity 2 have 4 cells; its
+        # endomorphisms have 2
+        "solved = naturality._solve_tables\n"
+        "naturality._solve_tables = lambda count, *a, **k: solved(count, *a, **k)"
+        " + ([(1, 0, 0, 0)] if count == 4 else [])",
+        "naturality.finite_group_natural_maps(naturality.cyclic_group(2), 2)",
+        "survivor (1, 0, 0, 0) is not natural",
+    ),
+]
 
-        assert sys.flags.optimize
-        solved = linalg._intersect_conditions
-        linalg._intersect_conditions = lambda *a: solved(*a) + [{(0, 0, 1): 1}]
-        try:
-            naturality.central_module(IntegersMod(4), 2, 1)
-        except VerificationFailed as exc:
-            print("VerificationFailed:", exc)
-        """
-    )
+
+def test_survivor_recheck_runs_under_python_O():
+    """A wrong generator or table slipped into a solver's result is caught by
+    the re-check, which must not be an assert that -O strips."""
     src = os.path.dirname(os.path.dirname(endop.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("VerificationFailed: survivor [['0 mod 4', '1 mod 4']")
+    for inject, call, message in RECHECK_INJECTIONS:
+        script = textwrap.dedent(
+            """
+            import sys
+            from endop import linalg, naturality
+            from endop.errors import VerificationFailed
+            from endop.scalars import IntegersMod
+
+            assert sys.flags.optimize
+            {inject}
+            try:
+                {call}
+            except VerificationFailed as exc:
+                print("VerificationFailed:", exc)
+            """
+        ).format(inject=inject, call=call)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("VerificationFailed: " + message), proc.stdout
 
 
 # -- the field basis against one elimination of every condition -----------------
@@ -571,6 +674,32 @@ def test_z2_arity_two_natural_maps():
     assert rep.extra["word_image_count"] == 4
     assert rep.extra["surplus"] == 4
     assert (0, 0, 0, 1) in survivors  # the meet map is natural here but not a word
+
+
+def word_image_closure(G, n):
+    """The subgroup of G^(G^n) that the n projections generate under the
+    pointwise product: exactly the maps that words realise."""
+    tuples = list(product(range(G.size), repeat=n))
+    projections = [tuple(t[i] for t in tuples) for i in range(n)]
+    found = frontier = {tuple(G.unit for _ in tuples)}
+    while frontier:
+        frontier = {
+            tuple(G.mul(a, b) for a, b in zip(x, p)) for x in frontier for p in projections
+        } - found
+        found = found | frontier
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, arity, size", [("s3", 1, 6), ("z6", 1, 6), ("z3", 2, 9), ("z2", 2, 4)]
+)
+def test_word_images_are_the_generated_subgroup(name, arity, size):
+    G = BUILTIN_TABLES[name]()
+    images = word_image_closure(G, arity)
+    rep = finite_group_natural_maps(G, arity)
+    assert len(images) == size == rep.extra["word_image_count"]
+    assert rep.extra["surplus"] == rep.count - len(images)
+    assert images <= {s.values for s in rep.survivors}
 
 
 def test_group_maps_bounds():
