@@ -73,9 +73,7 @@ from .scalars import (
     FiniteField,
     IntegersMod,
     Scalar,
-    field_arith,
     finite_field,
-    frobenius_pow,
 )
 from .word_operad import (
     ReducedWord,

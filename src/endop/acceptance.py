@@ -263,7 +263,7 @@ def check_qpoly_operad():
             for g in monos1 + monos2:
                 for i in range(1, f.arity + 1):
                     h = qpoly_compose(f, i, g)
-                    for exp, _ in h.terms:
+                    for exp in h.terms:
                         _expect(
                             all(is_q_power(e, q) for e in exp),
                             f"composition escaped the q-power shape: {h}",

@@ -102,8 +102,9 @@ def _parse_arg(flag, text, parse):
 
 
 def _non_negative(**sizes):
+    """A usage error for any size flag below zero; unset flags (None) pass."""
     for flag, v in sizes.items():
-        if v < 0:
+        if v is not None and v < 0:
             raise SystemExit2(f"--{flag.replace('_', '-')} must be non-negative, got {v}")
 
 
@@ -113,7 +114,7 @@ def _operad_by_name(name, args):
     if name == "word":
         return word_operad()
     if name == "qpoly":
-        return qpoly_operad(parse_field(args.field or "2^1"))
+        return qpoly_operad(_parse_arg("--field", args.field or "2^1", parse_field))
     if name == "trivial":
         return trivial_operad(parse_ring(args.ring or "zmod:4"))
     raise SystemExit2(f"unknown operad {name!r}")
@@ -192,6 +193,7 @@ def cmd_perm(args):
         )
         return {"arity": out.arity, "index": out.index}
     if args.action == "check":
+        _non_negative(arity_bound=args.arity_bound)
         P = corrupted_operad(args.inject_fault) if args.inject_fault else perm_operad()
         rep = check_operad_axioms(P, args.arity_bound, 0)
         return rep.to_json_dict()
@@ -203,6 +205,8 @@ def cmd_qpoly(args):
         field = _parse_arg("--field", args.field, parse_field)
     else:
         field = _parse_arg("--q", args.q or 2, finite_field)
+    if args.action in ("check", "generate") and args.arity < 1:
+        raise SystemExit2(f"--arity must be at least 1, got {args.arity}")
     if args.action == "compose":
         f = _parse_arg("--f", args.f, lambda s: QPolynomial.parse(field, args.arity1, s))
         g = _parse_arg("--g", args.g, lambda s: QPolynomial.parse(field, args.arity2, s))
@@ -220,7 +224,6 @@ def cmd_qpoly(args):
         verdict = multilinearity_check(f, args.cap)
         return {"multilinear": verdict.multilinear, "witness": verdict.witness}
     if args.action == "generate":
-        _non_negative(arity=args.arity)
         if not is_q_power(args.exp_bound, field.q):
             raise SystemExit2(f"--exp-bound {args.exp_bound} must be a power of q={field.q}")
         pairs = generated_submonomials(args.arity, args.exp_bound, field)
@@ -254,6 +257,11 @@ def cmd_schur_weyl(args):
 
 
 def cmd_axioms(args):
+    _non_negative(
+        arity_bound=args.arity_bound,
+        size_bound=args.size_bound,
+        triple_size_bound=args.triple_size_bound,
+    )
     P = (
         corrupted_operad(args.inject_fault)
         if args.inject_fault

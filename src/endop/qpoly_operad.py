@@ -7,7 +7,11 @@ polynomial into a variable slot.  The binary product and the q-th power
 operation generate this operad, subject to commutativity, associativity,
 and mu o (P_q (x) P_q) = P_q o mu.
 
-Coefficients are stored as raw field values (see scalars.FiniteField).
+One sparse type holds every polynomial: FieldPolynomial, a dict from
+exponent tuples to raw field values (see scalars.FiniteField), optionally
+truncated above a total degree.  QPolynomial is a FieldPolynomial that
+checks the q-power shape when it is built from outside input; composition
+and relabelling keep that shape and build their results unchecked.
 """
 
 from __future__ import annotations
@@ -143,16 +147,21 @@ class FieldPolynomial:
                 clean[exp] = coeff
         self.field, self.arity, self.cap, self.terms = field, arity, cap, clean
 
+    @classmethod
+    def _raw(cls, field, arity, terms, cap=None):
+        """A polynomial on a clean term dict, unchecked: for results whose
+        shape holds by construction."""
+        out = object.__new__(cls)
+        out.field, out.arity, out.cap, out.terms = field, arity, cap, terms
+        return out
+
     def _like(self, terms):
         """A polynomial in the same ring on a clean term dict, unchecked."""
-        out = object.__new__(FieldPolynomial)
-        out.field, out.arity, out.cap, out.terms = self.field, self.arity, self.cap, terms
-        return out
+        return FieldPolynomial._raw(self.field, self.arity, terms, self.cap)
 
     @classmethod
     def variable(cls, field, arity, i, cap=None):
-        exp = tuple(1 if j == i - 1 else 0 for j in range(arity))
-        return cls(field, arity, {exp: field.one_raw}, cap)
+        return cls.monomial(field, tuple(1 if j == i - 1 else 0 for j in range(arity)), cap=cap)
 
     @classmethod
     def monomial(cls, field, exponents, coeff=None, cap=None):
@@ -225,68 +234,32 @@ class FieldPolynomial:
 
     def __repr__(self):
         cap = "" if self.cap is None else f", cap={self.cap}"
-        return f"FieldPolynomial({self.field}, {self}{cap})"
+        return f"{type(self).__name__}({self.field}, {self}{cap})"
 
     @classmethod
     def parse(cls, field, arity, s):
         return cls(field, arity, _parse_terms(field, arity, s))
 
 
-@dataclass(frozen=True)
-class QPolynomial:
-    """Element of the q-power operad: every variable occurs in every monomial
-    and every exponent is q^e for some e >= 0."""
+class QPolynomial(FieldPolynomial):
+    """Element of the q-power operad: a FieldPolynomial in arity >= 1, with
+    no cap, in which every variable occurs in every monomial with exponent
+    q^e for some e >= 0."""
 
-    field: FiniteField
-    arity: int
-    terms: tuple  # canonical sorted ((exp, raw coeff), ...)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __init__(self, field: FiniteField, arity: int, terms=None, cap=None):
+        if arity < 1:
             raise ValueError("the q-power operad is empty below arity one")
-        q = self.field.q
-        norm = {}
-        for exp, coeff in dict(self.terms).items():
-            exp = tuple(exp)
-            if len(exp) != self.arity:
-                raise ValueError("exponent vector length mismatch")
-            if not all(is_q_power(e, q) for e in exp):
+        if cap is not None:
+            raise ValueError("the q-power operad has no degree cap")
+        super().__init__(field, arity, terms)
+        for exp in self.terms:
+            if not syntactic_q_power_criterion(exp, field.q):
                 raise ValueError(
-                    f"exponents {exp} are not all powers of q={q} (every variable "
+                    f"exponents {exp} are not all powers of q={field.q} (every variable "
                     "must occur with a q-power exponent)"
                 )
-            coeff = _coerce(self.field, coeff)
-            if coeff != self.field.zero_raw:
-                norm[exp] = coeff
-        object.__setattr__(self, "terms", _sorted_terms(norm))
-
-    @classmethod
-    def from_terms(cls, field, arity, terms):
-        return cls(field, arity, tuple(terms.items()))
-
-    @classmethod
-    def monomial(cls, field, exponents, coeff=None):
-        exponents = tuple(exponents)
-        return cls.from_terms(
-            field, len(exponents), {exponents: field.one_raw if coeff is None else coeff}
-        )
-
-    @classmethod
-    def variable(cls, field, arity=1, i=1):
-        return cls.monomial(field, tuple(1 if j == i - 1 else 0 for j in range(arity)))
-
-    def as_polynomial(self) -> FieldPolynomial:
-        return FieldPolynomial(self.field, self.arity, dict(self.terms))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __str__(self):
-        return _format_terms(self.field, dict(self.terms))
-
-    @classmethod
-    def parse(cls, field, arity, s):
-        return cls.from_terms(field, arity, _parse_terms(field, arity, s))
 
 
 def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
@@ -295,8 +268,8 @@ def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
     X_i^(q^e) becomes g^(q^e) = sum c_N N^(q^e): the q^e-th power map is
     additive in characteristic p and fixes every c in F_q.  The variables of
     f after X_i are shifted above the block i..i+n-1, like monomials
-    recombine, and zero coefficients drop out.  The q-power shape is
-    preserved.
+    recombine, and zero coefficients drop out.  Substitution keeps the
+    q-power shape, so the result is built unchecked.
     """
     if f.field != g.field:
         raise FieldMismatch("operands over different fields")
@@ -306,25 +279,26 @@ def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
     times = f.field.mul
 
     def terms():
-        for exp, coeff in f.terms:
+        for exp, coeff in f.terms.items():
             e_i, before, after = exp[i - 1], exp[: i - 1], exp[i:]
-            for gexp, gcoeff in g.terms:
+            for gexp, gcoeff in g.terms.items():
                 yield before + tuple(e * e_i for e in gexp) + after, times(coeff, gcoeff)
 
-    return QPolynomial.from_terms(f.field, m + n - 1, _collect(f.field, terms()))
+    return QPolynomial._raw(f.field, m + n - 1, _collect(f.field, terms()))
 
 
 def qpoly_perm_act(sigma, f: QPolynomial) -> QPolynomial:
-    """Relabel X_k as X_sigma(k)."""
+    """Relabel X_k as X_sigma(k); the shape is kept, so unchecked."""
     if len(sigma) != f.arity:
         raise OperadMismatch("permutation arity mismatch")
     out = {}
-    for exp, coeff in f.terms:
+    for exp, coeff in f.terms.items():
         new_exp = [0] * f.arity
         for k, e in enumerate(exp):
             new_exp[sigma[k] - 1] = e
         out[tuple(new_exp)] = coeff
-    return QPolynomial.from_terms(f.field, f.arity, out)
+    return QPolynomial._raw(f.field, f.arity, out)
+
 
 def qpoly_operad(field: FiniteField) -> OperadDescriptor:
     def enumerate_arity(n, size_bound):
@@ -340,7 +314,7 @@ def qpoly_operad(field: FiniteField) -> OperadDescriptor:
         name=f"qpoly-{field}",
         compose=qpoly_compose,
         act=qpoly_perm_act,
-        unit=QPolynomial.variable(field),
+        unit=QPolynomial.variable(field, 1, 1),
         arity_of=lambda f: f.arity,
         enumerate_arity=enumerate_arity,
         element_type=QPolynomial,
@@ -399,8 +373,7 @@ def qpoly_from_tree(tree, field: FiniteField) -> QPolynomial:
             return build(t.left) * build(t.right)
         return build(t.child) ** field.q
 
-    poly = build(tree)
-    return QPolynomial.from_terms(field, n, poly.terms)
+    return QPolynomial(field, n, build(tree).terms)
 
 
 def monomial_tree(heights) -> object:
@@ -505,8 +478,6 @@ def rewrite_once(tree):
 def eval_poly(f, args) -> FieldPolynomial:
     """Evaluate a polynomial by substituting elements of one (usually
     degree-capped) polynomial ring for its variables."""
-    if isinstance(f, QPolynomial):
-        f = f.as_polynomial()
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} arguments")
     if not args:
@@ -543,8 +514,6 @@ def multilinearity_check(f, cap: int | None = None) -> MultilinearityVerdict:
     by every field element.  The cap must be at least n * deg(f) so that no
     failure can hide above the truncation degree.
     """
-    if isinstance(f, QPolynomial):
-        f = f.as_polynomial()
     n = f.arity
     needed = n * f.max_total_degree()
     if cap is None:

@@ -348,13 +348,6 @@ class FiniteField(Domain):
             raise NotInvertible("0 has no inverse")
         return self.pow(a, self.q - 2)
 
-    def frobenius(self, a, e: int):
-        """a^(q^e), computed by iterating the q-power map e times."""
-        out = a
-        for _ in range(e):
-            out = self.pow(out, self.q)
-        return out
-
     def elements(self):
         return [t for t in product(range(self.p), repeat=self.k)]
 
@@ -468,25 +461,3 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self.domain}, {self})"
 
-
-def field_arith(a: Scalar, b, op: str) -> Scalar:
-    """Dispatch {add, mul, neg, inv} with domain checking.
-
-    ``neg`` and ``inv`` are unary; pass b=None for them.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def frobenius_pow(a: Scalar, e: int) -> Scalar:
-    """a^(q^e) for a in F_q; the identity for e = 0."""
-    if not isinstance(a.domain, FiniteField):
-        raise DomainMismatch("frobenius powers only exist in finite fields")
-    return Scalar(a.domain, a.domain.frobenius(a.value, e))

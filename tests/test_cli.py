@@ -87,6 +87,14 @@ def test_usage_error_exit_code():
         ["schur-weyl", "--all-gl", "--dimension", "-1"],
         ["schur-weyl", "--all-gl", "--field", "6"],
         ["group-maps", "--builtin", "z2", "--word-length", "-1"],
+        ["qpoly", "generate", "--q", "2", "--arity", "0"],
+        ["qpoly", "check", "--arity", "0", "--f", "0"],
+        ["qpoly", "check", "--arity", "-1", "--f", "0"],
+        ["axioms", "--operad", "word", "--triple-size-bound", "-1"],
+        ["axioms", "--operad", "perm", "--arity-bound", "-1"],
+        ["axioms", "--operad", "perm", "--size-bound", "-1"],
+        ["axioms", "--operad", "qpoly", "--field", "6"],
+        ["perm", "check", "--arity-bound", "-1"],
     ],
 )
 def test_bad_ring_or_size_is_a_usage_error(capsys, argv):
@@ -115,6 +123,29 @@ TABLES = st.one_of(
     _grids(lambda m: (m - 1, m + 1)),  # ragged rows, an empty one when m = 1
 ).map(lambda rows: ";".join(",".join(map(str, row)) for row in rows))
 
+
+def _cmd(*words, **draws):
+    """The argv words, then --flag=value for each drawn value that is not
+    None; underscores in a flag name become dashes."""
+    return st.fixed_dictionaries(draws).map(
+        lambda d: [*words] + [f"--{k.replace('_', '-')}={v}" for k, v in d.items() if v is not None]
+    )
+
+
+def _maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+SMALL = st.integers(-1, 2)  # arities and size bounds: small, with a negative
+SLOTS = st.integers(-1, 3)
+QS = _maybe(st.sampled_from([2, 3, 4, 6]))
+FIELDS = _maybe(st.sampled_from(["3", "2^2", "2^5"]))
+POLYS = st.sampled_from(
+    ["0", "X1", "X1^2", "X1^3", "X1*X2", "X1^2*X2", "g*X1 + X1^4", "2*X1", "X1^^2", "X3"]
+)
+WORDS = st.sampled_from(["", "x1", "x1 x2^-1", "x2 x1 x2^-1", "x1^2", "y1", "x3"])
+
+
 ARGVS = st.one_of(
     st.builds(
         lambda n, method: ["central-set", "--n", str(n), "--method", method],
@@ -127,10 +158,37 @@ ARGVS = st.one_of(
         TABLES,
         st.integers(0, 2),
     ),
+    _cmd("qpoly", "compose", q=QS, field=FIELDS, f=POLYS, g=POLYS, arity1=SMALL,
+         arity2=SMALL, at=SLOTS),
+    _cmd("qpoly", "classify", q=QS, field=FIELDS, arity=SMALL, maxdeg=st.integers(-1, 4)),
+    _cmd("qpoly", "check", q=QS, field=FIELDS, f=POLYS, arity=SMALL,
+         cap=_maybe(st.integers(-1, 8))),
+    st.sampled_from([2, 3, 4]).flatmap(  # --exp-bound up to q^2
+        lambda q: _cmd("qpoly", "generate", q=st.just(q), arity=SMALL,
+                       exp_bound=st.integers(-1, q * q))
+    ),
+    _cmd(
+        "axioms",
+        operad=st.sampled_from(["perm", "word", "qpoly", "trivial"]),
+        arity_bound=SMALL,
+        size_bound=SMALL,
+        triple_size_bound=_maybe(SMALL),
+        field=_maybe(st.sampled_from(["2", "3", "2^2", "6"])),
+        ring=_maybe(st.sampled_from(["zmod:4", "zmod:1", "2", "Q"])),
+        inject_fault=_maybe(st.sampled_from(["perm-compose", "word-reduce"])),
+    ),
+    _cmd("word", "compose", w1=WORDS, w2=WORDS, arity1=SMALL, arity2=SMALL, at=SLOTS),
+    _cmd("word", "reduce", letters=st.sampled_from(["", "1,-1", "2,-2,1", "1,a", "3", "-1,1,2"]),
+         arity1=SMALL),
+    _cmd("word", "eval", table=TABLES, w1=WORDS, arity1=SMALL,
+         args=_maybe(st.sampled_from(["", "0", "0,1", "1,5", "-1"]))),
+    _cmd("word", "enumerate", arity1=SMALL, max_length=st.integers(-2, 2)),
+    _cmd("perm", "compose", arity1=SMALL, index1=SLOTS, arity2=SMALL, index2=SLOTS, at=SLOTS),
+    _cmd("perm", "check", arity_bound=SMALL, inject_fault=_maybe(st.just("perm-compose"))),
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(ARGVS)
 def test_fuzzed_argv_keeps_the_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()

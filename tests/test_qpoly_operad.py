@@ -3,7 +3,7 @@ presentation, evaluation in degree-capped polynomial rings, and the
 linearity classification."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -57,6 +57,19 @@ def test_qpolynomial_invariant_enforced():
         QPolynomial.monomial(F2, (1, 0))  # a variable is missing
     with pytest.raises(ValueError):
         QPolynomial.monomial(F4, (2, 1))  # 2 = p is not a power of q = 4
+    with pytest.raises(ValueError):
+        QPolynomial(F2, 0, {(): 1})  # the operad starts in arity one
+    with pytest.raises(ValueError):
+        QPolynomial(F2, 1, {(1,): 1}, cap=2)  # and has no truncation
+
+
+def test_qpolynomial_is_a_field_polynomial():
+    f = QPolynomial.parse(F4, 2, "g*X1*X2^4 + X1^4*X2")
+    p = FieldPolynomial(F4, 2, f.terms)
+    assert isinstance(f, FieldPolynomial)
+    assert f == p and p == f and hash(f) == hash(p) and str(f) == str(p)
+    assert f != FieldPolynomial(F4, 2, f.terms, cap=10)
+    assert type(f * f) is FieldPolynomial  # products leave the q-power shape
 
 
 def test_compose_examples():
@@ -77,9 +90,9 @@ def test_compose_multi_monomial_uses_frobenius():
     # every coefficient, so compose never applies it
     g = F4.generator()
     f = QPolynomial.monomial(F4, (4,))
-    s = QPolynomial.from_terms(F4, 2, {(1, 1): g})
+    s = QPolynomial(F4, 2, {(1, 1): g})
     out = qpoly_compose(f, 1, s)
-    assert out == QPolynomial.from_terms(F4, 2, {(4, 4): g ** 4})
+    assert out == QPolynomial(F4, 2, {(4, 4): g ** 4})
     assert g ** 4 == g  # coefficient Frobenius is the identity on F_q itself
 
 
@@ -92,7 +105,7 @@ def test_compose_closure_exhaustive():
             for g in monos:
                 for i in range(1, f.arity + 1):
                     h = qpoly_compose(f, i, g)
-                    for exp, coeff in h.terms:
+                    for exp, coeff in h.terms.items():
                         assert all(is_q_power(e, q) for e in exp)
                         assert coeff != F.zero_raw
 
@@ -136,7 +149,7 @@ def test_generated_submonomials():
     # every q-power monomial within bounds is hit (presentation is onto)
     for q, F in ((2, F2), (3, F3)):
         pairs = generated_submonomials(2, q * q, F)
-        got = {tuple(exp for exp, _ in m.terms)[0] for m, _ in pairs}
+        got = {next(iter(m.terms)) for m, _ in pairs}
         want = {(e1, e2) for e1 in (1, q, q * q) for e2 in (1, q, q * q)}
         assert got == want
 
@@ -225,8 +238,8 @@ def test_frobenius_compatibility_of_evaluation():
 def test_print_parse_round_trip():
     samples = [
         QPolynomial.monomial(F2, (2, 1)),
-        QPolynomial.from_terms(F4, 2, {(1, 4): F4.generator(), (4, 4): F4.one()}),
-        QPolynomial.from_terms(
+        QPolynomial(F4, 2, {(1, 4): F4.generator(), (4, 4): F4.one()}),
+        QPolynomial(
             F4, 1, {(1,): F4.generator() + F4.one(), (4,): F4.one()}
         ),
     ]
@@ -242,7 +255,7 @@ def _random_qpoly(rng, F, arity):
         tuple(F.q ** rng.randrange(3) for _ in range(arity)): rng.choice(elements)
         for _ in range(rng.randint(1, 3))
     }
-    return QPolynomial.from_terms(F, arity, terms)
+    return QPolynomial(F, arity, terms)
 
 
 def _substitute(f, i, g):
@@ -251,7 +264,7 @@ def _substitute(f, i, g):
     F, m, n = f.field, f.arity, g.arity
     arity = m + n - 1
     block = FieldPolynomial(
-        F, arity, {(0,) * (i - 1) + exp + (0,) * (m - i): c for exp, c in g.terms}
+        F, arity, {(0,) * (i - 1) + exp + (0,) * (m - i): c for exp, c in g.terms.items()}
     )
     args = [FieldPolynomial.variable(F, arity, j if j < i else j + n - 1) for j in range(1, m + 1)]
     args[i - 1] = block
@@ -266,14 +279,32 @@ def test_compose_matches_substitution_oracle():
             f = _random_qpoly(rng, F, rng.randint(1, 2))
             g = _random_qpoly(rng, F, rng.randint(1, 2))
             for i in range(1, f.arity + 1):
-                assert qpoly_compose(f, i, g).as_polynomial() == _substitute(f, i, g)
+                assert qpoly_compose(f, i, g) == _substitute(f, i, g)
                 cases += 1
         assert cases >= 40
     # a coefficient outside the prime field, under a q-power in F_4
     f = QPolynomial.parse(F4, 1, "X1^4")
     g = QPolynomial.parse(F4, 2, "g*X1*X2 + X1^4*X2")
     assert str(qpoly_compose(f, 1, g)) == "g*X1^4*X2^4 + X1^16*X2^4"
-    assert qpoly_compose(f, 1, g).as_polynomial() == _substitute(f, 1, g)
+    assert qpoly_compose(f, 1, g) == _substitute(f, 1, g)
+
+
+def test_unchecked_results_pass_the_validating_constructor():
+    """compose and perm_act skip the shape check; rebuilding each result
+    through the constructor must give it back unchanged."""
+    rng = random.Random(7)
+    for F in (F2, F3, F4):
+        multi_term = 0
+        for _ in range(30):
+            f = _random_qpoly(rng, F, rng.randint(1, 3))
+            g = _random_qpoly(rng, F, rng.randint(1, 3))
+            multi_term += len(f.terms) > 1 and len(g.terms) > 1
+            results = [qpoly_compose(f, i, g) for i in range(1, f.arity + 1)]
+            results += [qpoly_perm_act(sigma, f) for sigma in permutations(range(1, f.arity + 1))]
+            for h in results:
+                assert type(h) is QPolynomial
+                assert QPolynomial(h.field, h.arity, h.terms) == h
+        assert multi_term >= 5
 
 
 def test_capped_product_drops_terms_above_the_cap():
@@ -298,9 +329,9 @@ def test_capped_product_drops_terms_above_the_cap():
 
 def test_coefficients_are_raw_field_values():
     g = F4.generator()
-    f = QPolynomial.from_terms(F4, 1, {(1,): g, (4,): 1})
-    assert f.terms == (((1,), (0, 1)), ((4,), (1, 0)))
-    assert f == QPolynomial.from_terms(F4, 1, {(1,): (0, 1), (4,): (1, 0)})
+    f = QPolynomial(F4, 1, {(1,): g, (4,): 1})
+    assert f.terms == {(1,): (0, 1), (4,): (1, 0)}
+    assert f == QPolynomial(F4, 1, {(1,): (0, 1), (4,): (1, 0)})
     assert hash(f) == hash(QPolynomial.parse(F4, 1, "g*X1 + X1^4"))
     p = FieldPolynomial(F3, 1, {(2,): 5, (1,): 3})  # 5 = 2 and 3 = 0 in F_3
     assert p.terms == {(2,): (2,)}
@@ -308,7 +339,7 @@ def test_coefficients_are_raw_field_values():
     with pytest.raises(FieldMismatch):
         FieldPolynomial(F2, 1, {(1,): F3.one()})
     with pytest.raises(FieldMismatch):
-        QPolynomial.from_terms(F2, 1, {(1,): F4.one()})
+        QPolynomial(F2, 1, {(1,): F4.one()})
     with pytest.raises(FieldMismatch):
         FieldPolynomial.variable(F2, 1, 1) * FieldPolynomial.variable(F3, 1, 1)
     with pytest.raises(TruncationMismatch):
