@@ -33,7 +33,6 @@ from .linalg import (
     nullspace,
     permutation_operator,
     schur_weyl_dimension,
-    symmetric_group_image_dim,
 )
 from .naturality import (
     FiniteFunction,

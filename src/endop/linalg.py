@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import BoundExceeded, DomainMismatch, NotInvertible, UnsupportedDomain
+from .errors import VerificationFailed
 from .perms import all_perms, invert_perm
-from .scalars import QQ, Domain
+from .scalars import QQ, Domain, IntegersMod
 
 
 class ExactMatrix:
@@ -211,18 +212,17 @@ def _kernel_of_rows(rows, domain, ncols):
     return basis
 
 
-def matrix_rank(m: ExactMatrix) -> int:
-    _require_field(m.domain)
-    rows = [list(r) for r in m.data]
-    return len(_rref(rows, m.domain, m.ncols))
-
-
-def vectors_rank(vectors, domain) -> int:
+def span_basis(vectors, domain):
+    """A basis of the span of raw vectors over a field, in the solver's form:
+    each vector ends in a 1 where the others are 0, listed by that column."""
     _require_field(domain)
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    return len(_rref(rows, domain, len(rows[0])))
+    rows = [list(reversed(v)) for v in vectors]
+    rank = len(_rref(rows, domain, len(rows[0]) if rows else 0))
+    return [tuple(reversed(row)) for row in reversed(rows[:rank])]
+
+
+def matrix_rank(m: ExactMatrix) -> int:
+    return len(span_basis(m.data, m.domain))
 
 
 def nullspace(m: ExactMatrix):
@@ -331,9 +331,8 @@ class HomBasis:
             if (m.nrows, m.ncols) != (self.codomain_dim, self.domain_dim):
                 raise ValueError("basis matrix with wrong shape")
         if self.matrices:
-            dom = self.matrices[0].domain
             vecs = [tuple(a for row in m.data for a in row) for m in self.matrices]
-            if vectors_rank(vecs, dom) != len(vecs):
+            if len(span_basis(vecs, self.matrices[0].domain)) != len(vecs):
                 raise ValueError("basis matrices are linearly dependent")
 
     @property
@@ -531,13 +530,12 @@ def permutation_operator(domain, d: int, sigma) -> ExactMatrix:
     return ExactMatrix(domain, rows)
 
 
-def symmetric_group_image_dim(d: int, n: int, domain=QQ) -> int:
-    """Dimension of the span of the n! tensor-factor permutation operators."""
-    vecs = []
-    for sigma in all_perms(n):
-        P = permutation_operator(domain, d, sigma)
-        vecs.append(tuple(a for row in P.data for a in row))
-    return vectors_rank(vecs, domain)
+def symmetric_group_span(d: int, n: int):
+    """The n! tensor-factor permutation operators over Q, and the `span_basis`
+    of their span as flattened matrices: the S_n image in End(V^(tensor n))."""
+    operators = [permutation_operator(QQ, d, sigma) for sigma in all_perms(n)]
+    vecs = [tuple(a for row in P.data for a in row) for P in operators]
+    return operators, span_basis(vecs, QQ)
 
 
 def diagonal_prime_matrix(domain, d: int) -> ExactMatrix:
@@ -587,19 +585,53 @@ def all_invertible_matrices(domain, d: int):
     return out
 
 
+def _certified_commutant(d, n, powers, count, cells):
+    """The S_n image's `span_basis` if it is proven to be the commutant of
+    powers[:count] over Q, else None.  For integer generators the commutant
+    mod a prime is no smaller than over Q, and the re-checked S_n image no
+    larger; where they meet, it is the commutant of the doubled list too."""
+    size, where = d ** n, f"Schur-Weyl certificate at (d, n) = ({d}, {n})"
+    # n! operators past d^(2n) cells (d <= 1, or d = 2 and n >= 9) cost more
+    if math.factorial(n) > size * size or any(
+        x.denominator != 1 for B in powers for row in B.data for x in row
+    ):
+        return None
+    ints = [[[int(x) for x in row] for row in B.data] for B in powers]
+    operators, basis = symmetric_group_span(d, n)
+    for k, P in enumerate(operators):
+        # P e_j = e_image[j] commutes with B iff B[image[i]][image[j]] = B[i][j]
+        image = [next((i for i, x in enumerate(col) if x), 0) for col in zip(*P.data)]
+        unit = [[int(image[j] == i) for j in range(size)] for i in range(size)]
+        if sorted(image) != list(range(size)) or P != ExactMatrix(QQ, unit, size) or any(
+            [B[image[i]][j] for j in image] != B[i] for B in ints for i in range(size)
+        ):
+            raise VerificationFailed(f"{where}: permutation operator {k} fails to commute")
+    field = IntegersMod(2 ** 31 - 1)
+    conditions = [(0, 0, M, M) for M in (ExactMatrix(field, B, size) for B in ints[:count])]
+    upper = len(_intersect_conditions(conditions, cells, field))
+    if upper < len(basis):
+        raise VerificationFailed(f"{where}: dimension {upper} mod {field.m} < {len(basis)} of S_n")
+    return basis if upper == len(basis) else None
+
+
 def schur_weyl_dimension(d: int, n: int, count: int = 8, seed: int = 0, domain=QQ):
     """Dimension of the commutant of `count` seeded generators on V^(tensor n),
     with a stabilization check against doubling the generator list.
 
-    Returns (dimension, stable, basis).  The doubled run reuses the first
-    solution space and intersects the extra conditions into it, which gives
-    the same space as solving the doubled system from scratch.
-    """
+    Returns (dimension, stable, basis).  Over Q the S_n image is certified
+    first, stability with it.  Else the doubled run intersects the extra
+    conditions into the first solution space, which is the same as solving
+    the doubled system from scratch."""
     if d < 0 or n < 0:
         raise ValueError(f"dimension {d} and tensor power {n} must be non-negative")
     doubled = random_invertible_generators(domain, d, 2 * count, seed)
+    powers = [kron_power(g, n) for g in doubled]
     cells = [(0, i, j) for i in range(d ** n) for j in range(d ** n)]
-    conditions = [(0, 0, B, B) for B in (kron_power(g, n) for g in doubled)]
+    certified = _certified_commutant(d, n, powers, count, cells) if domain == QQ else None
+    if certified is not None:
+        sparse = [dict(zip(cells, vec)) for vec in certified]
+        return len(sparse), True, _basis_to_matrices(sparse, d ** n, d ** n, QQ)
+    conditions = [(0, 0, B, B) for B in powers]
     sparse = _intersect_conditions(conditions[:count], cells, domain)
     basis = _basis_to_matrices(sparse, d ** n, d ** n, domain)
     sparse2 = _intersect_conditions(conditions[count:], cells, domain, sparse)

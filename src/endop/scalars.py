@@ -8,7 +8,7 @@ defining polynomial, residues in 0..m-1.  No floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -199,14 +199,13 @@ class IntegersMod(Domain):
     """The ring Z/m with canonical representatives 0..m-1."""
 
     m: int
+    # trial division once per domain, not per read; no part of equality or hash
+    is_field: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("modulus must be at least 2")
-
-    @property
-    def is_field(self):
-        return is_prime(self.m)
+        object.__setattr__(self, "is_field", is_prime(self.m))
 
     is_finite = True
     zero_raw = 0

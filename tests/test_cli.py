@@ -185,6 +185,19 @@ ARGVS = st.one_of(
     _cmd("word", "enumerate", arity1=SMALL, max_length=st.integers(-2, 2)),
     _cmd("perm", "compose", arity1=SMALL, index1=SLOTS, arity2=SMALL, index2=SLOTS, at=SLOTS),
     _cmd("perm", "check", arity_bound=SMALL, inject_fault=_maybe(st.just("perm-compose"))),
+    st.builds(
+        lambda dn, gens, seed, all_gl: [
+            "schur-weyl", f"--dimension={dn[0]}", f"--arity={dn[1]}",
+            f"--generators={gens}", f"--seed={seed}",
+        ] + ["--all-gl"] * all_gl,
+        # d^n <= 9 keeps the fallback eliminations over Q fast
+        st.tuples(st.integers(-1, 3), st.integers(-1, 3)).filter(
+            lambda dn: min(dn) < 0 or dn[0] ** dn[1] <= 9
+        ),
+        st.integers(-1, 3),
+        st.integers(0, 2),
+        st.booleans(),
+    ),
 )
 
 

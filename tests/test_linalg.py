@@ -1,18 +1,28 @@
 """Exact linear algebra: Kronecker powers against the index formula, kernels
-against exhaustive solution counts, and equivariant hom spaces against both
-the rational n! answer and a numpy brute-force count over F_2."""
+against exhaustive solution counts, equivariant hom spaces against both
+the rational n! answer and a numpy brute-force count over F_2, and the
+certified Schur-Weyl commutant against elimination over Q and sympy."""
 
+import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+import endop
+from endop import linalg
 from endop.errors import BoundExceeded, NotInvertible, UnsupportedDomain
 from endop.linalg import (
     ExactMatrix,
     HomBasis,
+    _certified_commutant,
+    _intersect_conditions,
     _span_elements,
     all_invertible_matrices,
     diagonal_prime_matrix,
@@ -27,7 +37,8 @@ from endop.linalg import (
     random_invertible_generators,
     schur_weyl_dimension,
     solution_generators,
-    symmetric_group_image_dim,
+    span_basis,
+    symmetric_group_span,
 )
 from endop.perms import all_perms
 from endop.scalars import QQ, IntegersMod, finite_field
@@ -211,7 +222,7 @@ def test_gl2_f2_commutant_pinned_and_numpy_oracle():
     [(1, 1, 1), (2, 2, 2), (1, 2, 1), (2, 3, 5), (3, 3, 6)],
 )
 def test_symmetric_group_image_dim(d, n, expected):
-    assert symmetric_group_image_dim(d, n, QQ) == expected
+    assert len(symmetric_group_span(d, n)[1]) == expected
 
 
 def test_symmetric_group_image_dim_sympy_oracle():
@@ -222,7 +233,150 @@ def test_symmetric_group_image_dim_sympy_oracle():
         for sigma in all_perms(n):
             P = permutation_operator(QQ, d, sigma)
             vecs.append([int(x) for row in P.data for x in row])
-        assert symmetric_group_image_dim(d, n, QQ) == sympy.Matrix(vecs).rank()
+        assert len(symmetric_group_span(d, n)[1]) == sympy.Matrix(vecs).rank()
+
+
+def test_span_basis_is_the_solver_form():
+    # each vector ends in a 1, in a column where the others are 0, listed by
+    # that column; and the span is kept, at sympy's rank
+    import sympy
+
+    rng = random.Random(5)
+    for _ in range(20):
+        vecs = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(5)) for _ in range(rng.randint(0, 4))]
+        basis = span_basis(vecs, QQ)
+        lasts = [max(k for k, x in enumerate(v) if x) for v in basis]
+        assert lasts == sorted(set(lasts))
+        for v, last in zip(basis, lasts):
+            assert v[last] == 1 and all(w[last] == 0 for w in basis if w is not v)
+        assert len(basis) == sympy.Matrix(len(vecs), 5, [int(x) for v in vecs for x in v]).rank()
+        assert len(span_basis(vecs + basis, QQ)) == len(basis)
+
+
+# -- the certified Schur-Weyl commutant ------------------------------------------
+
+def _eliminated(d, n, count, seed):
+    """(dimension, stable, flattened basis) of the commutant by elimination
+    over Q of the same generators' conditions, without the certificate."""
+    doubled = random_invertible_generators(QQ, d, 2 * count, seed)
+    size = d ** n
+    cells = [(0, i, j) for i in range(size) for j in range(size)]
+    conditions = [(0, 0, B, B) for B in (kron_power(g, n) for g in doubled)]
+    first = _intersect_conditions(conditions[:count], cells, QQ)
+    again = _intersect_conditions(conditions[count:], cells, QQ, first)
+    flat = [tuple(QQ.format_value(gen.get(c, QQ.zero_raw)) for c in cells) for gen in first]
+    return len(first), len(first) == len(again), flat
+
+
+@pytest.mark.parametrize(
+    "d, n", [(0, 2), (2, 0), (1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (4, 2), (2, 4)]
+)
+def test_certified_commutant_matches_elimination_over_q(d, n, monkeypatch):
+    certified = []
+    monkeypatch.setattr(
+        linalg,
+        "_certified_commutant",
+        lambda *a: certified.append(_certified_commutant(*a)) or certified[-1],
+    )
+    for count in (0, 1, 2, 8):
+        for seed in range(3):
+            dim, stable, basis = schur_weyl_dimension(d, n, count, seed)
+            # with no generator, or only the diagonal one, the commutant
+            # exceeds the S_n image once d, n >= 2; and at d <= 1 the n!
+            # operators outnumber the d^(2n) cells: those fall back to the
+            # elimination that the oracle below would repeat
+            expected = (count >= 2 or n < 2) and math.factorial(n) <= d ** (2 * n)
+            assert (certified[-1] is not None) == expected, (count, seed)
+            if expected:
+                flat = [tuple(QQ.format_value(a) for row in m.data for a in row) for m in basis.matrices]
+                assert (dim, stable, flat) == _eliminated(d, n, count, seed), (count, seed)
+
+
+def test_certificate_falls_back_when_the_bounds_differ():
+    # the diagonal generator alone: diag(4, 6, 6, 9) commutes with a
+    # 1 + 4 + 1 dimensional space, against the S_n image's 2
+    gens = [kron_power(g, 2) for g in random_invertible_generators(QQ, 2, 2, seed=0)]
+    cells = [(0, i, j) for i in range(4) for j in range(4)]
+    assert _certified_commutant(2, 2, gens, 1, cells) is None
+    assert schur_weyl_dimension(2, 2, count=1)[:2] == (6, False)
+    # a non-integer entry has no reduction mod p
+    half = kron_power(ExactMatrix(QQ, [[Fraction(1, 2)]]), 2)
+    assert _certified_commutant(1, 2, [half], 1, [(0, 0, 0)]) is None
+    assert schur_weyl_dimension(2, 2, domain=finite_field(5))[0] == 2
+
+
+def _condition_rows(B):
+    """The rows of Phi -> B Phi - Phi B on the row-major entries of Phi."""
+    size = len(B)
+    rows = []
+    for i in range(size):
+        for j in range(size):
+            row = [0] * (size * size)
+            for k in range(size):
+                row[k * size + j] += B[i][k]
+                row[i * size + k] -= B[k][j]
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 2), (2, 4)])
+def test_schur_weyl_dimension_sympy_rank_oracle(d, n):
+    from sympy import QQ as sympy_QQ
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = []
+    for g in random_invertible_generators(QQ, d, 8, seed=0):
+        rows += _condition_rows([[int(x) for x in row] for row in kron_power(g, n).data])
+    rank = DomainMatrix.from_list(rows, ZZ).to_sparse().convert_to(sympy_QQ).rank()
+    assert schur_weyl_dimension(d, n)[0] == d ** (2 * n) - rank
+
+
+CERTIFICATE_INJECTIONS = [
+    # the last permutation operator with its first two rows swapped
+    (
+        "op = linalg.permutation_operator\n"
+        "linalg.permutation_operator = lambda dom, d, s: (lambda P: linalg.ExactMatrix("
+        "dom, (P.data[1], P.data[0]) + P.data[2:], P.ncols))(op(dom, d, s)) "
+        "if list(s) == sorted(s, reverse=True) else op(dom, d, s)",
+        "Schur-Weyl certificate at (d, n) = (2, 3): permutation operator 5",
+    ),
+    # a modular solve that drops one generator
+    (
+        "solved = linalg._intersect_conditions\n"
+        "linalg._intersect_conditions = lambda c, cells, dom, *a: solved(c, cells, dom, *a)"
+        "[isinstance(dom, IntegersMod):]",
+        "Schur-Weyl certificate at (d, n) = (2, 3): dimension 4 mod 2147483647 < 5",
+    ),
+]
+
+
+def test_certificate_faults_raise_under_python_O():
+    """A wrong permutation operator or a short modular solve is caught by a
+    check that -O does not strip, and the message names (d, n)."""
+    src = os.path.dirname(os.path.dirname(endop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for inject, message in CERTIFICATE_INJECTIONS:
+        script = textwrap.dedent(
+            """
+            import sys
+            from endop import linalg
+            from endop.errors import VerificationFailed
+            from endop.scalars import IntegersMod
+
+            assert sys.flags.optimize
+            {inject}
+            try:
+                linalg.schur_weyl_dimension(2, 3)
+            except VerificationFailed as exc:
+                print("VerificationFailed:", exc)
+            """
+        ).format(inject=inject)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("VerificationFailed: " + message), proc.stdout
 
 
 def test_intertwiner_accepts_singular_conditions():
