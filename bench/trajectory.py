@@ -1,6 +1,8 @@
-"""Record the benchmark of one or more checkouts as BENCH_<label>.json.
+"""Record the benchmark of one or more checkouts as BENCH_<label>.json, or
+compare two such files.
 
     python3 bench/trajectory.py --seeds 3 [--repo DIR ...] [--out-dir DIR]
+    python3 bench/trajectory.py --compare OLD.json NEW.json
 
 Runs ``perfbench/run.py --seconds 44 --trace 0`` of every checkout
 (``--repo``, by default the one holding this script) for seeds 1..k and
@@ -17,7 +19,12 @@ every value, and the ``failed`` count of every run; and with the commit,
 whether tracked files differ from it, the Python version and
 ``os.cpu_count()``.  The label is the short commit, with ``-dirty``
 appended when tracked files differ from it: a change measured before it is
-committed is labelled by its parent.  Standard library only.
+committed is labelled by its parent.
+
+``--compare`` prints, per workload and end-to-end metric, the median of
+both files and the relative change, and marks every metric that is worse
+than its ``BENCHMARK.json`` bound, and every workload whose runs failed more
+often; it exits 1 if anything is marked.  Standard library only.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+BENCHMARK = HERE.parent / "BENCHMARK.json"
 WORKLOADS = ("word-axioms", "enumerate", "fields")
 SECONDS = 44
 METRICS = ("pass_s", "first_pass_s", "max_job_s", "setup_s", "peak_rss_mib")
@@ -77,14 +85,40 @@ def summary(values):
     }
 
 
+def compare(old_path, new_path):
+    """Print the comparison table of two BENCH files; 1 if anything is worse
+    than its bound, else 0."""
+    old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+    bounds = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    print(f"{'workload':<12} {'metric':<13} {'old':>9} {'new':>9} {'change':>8}")
+    worse = 0
+    for workload in WORKLOADS:
+        before, after = old["workloads"][workload], new["workloads"][workload]
+        for metric, spec in bounds.items():
+            a, b = before[metric]["median"], after[metric]["median"]
+            change = (b - a) / a
+            loss = change if spec["better"] == "lower" else -change
+            mark = f"  WORSE than its bound of {spec['bound']:.0%}" if loss > spec["bound"] else ""
+            worse += bool(mark)
+            print(f"{workload:<12} {metric:<13} {a:>9.3f} {b:>9.3f} {change:>+8.1%}{mark}")
+        failed_a, failed_b = (statistics.mean(w["failed"]) for w in (before, after))
+        mark = "  MORE FAILURES" if failed_b > failed_a else ""
+        worse += bool(mark)
+        print(f"{workload:<12} {'failed (mean)':<13} {failed_a:>9.3f} {failed_b:>9.3f}{mark}")
+    return 1 if worse else 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", type=int, required=True, help="k: seeds 1..k")
+    ap.add_argument("--seeds", type=int, help="k: seeds 1..k")
     ap.add_argument("--repo", action="append", type=Path, help="a checkout (repeatable)")
     ap.add_argument("--out-dir", type=Path, default=HERE)
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     repos = [r.resolve() for r in args.repo or [HERE.parent]]
-    if args.seeds < 1:
+    if args.seeds is None or args.seeds < 1:
         ap.error("--seeds must be at least 1")
 
     runs = {repo: {w: [] for w in WORKLOADS} for repo in repos}

@@ -539,20 +539,19 @@ def symmetric_group_span(d: int, n: int):
 
 
 def diagonal_prime_matrix(domain, d: int) -> ExactMatrix:
-    """diag(2, 3, 5, ...): scalars of pairwise distinct multiplicative order."""
-    primes = []
+    """diag(2, 3, 5, ...) over the primes that do not vanish in the domain:
+    invertible over a field, and over Q of pairwise distinct multiplicative
+    order."""
+    primes, entries = [], []
     x = 2
-    while len(primes) < d:
-        for q in primes:
-            if x % q == 0:
-                break
-        else:
+    while len(entries) < d:
+        if all(x % q for q in primes):
             primes.append(x)
+            if domain.coerce(x) != domain.zero_raw:
+                entries.append(domain.coerce(x))
         x += 1
     zero = domain.zero_raw
-    rows = [[zero] * d for _ in range(d)]
-    for i, p in enumerate(primes):
-        rows[i][i] = domain.coerce(p)
+    rows = [[v if i == j else zero for j in range(d)] for i, v in enumerate(entries)]
     return ExactMatrix(domain, rows)
 
 

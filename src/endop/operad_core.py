@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import OperadMismatch, PositionOutOfRange
-from .perms import all_perms, compose_perms, embed_at, identity_perm, invert_perm, stretch_at
+from .perms import all_perms, compose_perms, embed_at, invert_perm, stretch_at
 
 
 @dataclass(frozen=True)
@@ -308,6 +308,94 @@ def _parallel_commutation(compose, small) -> CheckResult:
     return check.result()
 
 
+def _orbit(act, perms, w):
+    """The ids of act(sigma, w) over perms, and the distinct values by id."""
+    ids = {}
+    return _intern(ids, [act(sigma, w) for sigma in perms]), ids
+
+
+def _symmetric_action(act, els) -> CheckResult:
+    """id.w = w, then sigma.(tau.w) = (sigma tau).w a row over tau at a time.
+
+    The product table of Sigma_n, as indices into all_perms(n), is built once
+    per arity.  Per w the orbit tau.w is interned, and act(sigma, .) applied
+    once to each distinct orbit element, so a row is two lists of ids.
+    """
+    check = _Check("symmetric-action")
+    for n, ws in els.items():
+        if n < 1:
+            continue
+        perms = all_perms(n)  # perms[0] is the identity
+        index = {p: k for k, p in enumerate(perms)}
+        products = [[index[compose_perms(sigma, tau)] for tau in perms] for sigma in perms]
+        for w in ws:
+            orbit, ids = _orbit(act, perms, w)
+            distinct = list(ids)
+            check.instances += 1
+            if distinct[orbit[0]] != w:
+                check.fail("id . {w} != {w}", w=w)
+            for sigma, product in zip(perms, products):
+                acted = _intern(ids, [act(sigma, d) for d in distinct])
+                lhs = [acted[t] for t in orbit]
+                rhs = [orbit[k] for k in product]
+                check.instances += len(perms)
+                if lhs != rhs and check.witness is None:
+                    check.fail(
+                        "sigma.(tau.{w}) != (sigma tau).{w} for {sigma}, {tau}",
+                        w=w, sigma=sigma, tau=perms[_first_difference(lhs, rhs)],
+                    )
+    return check.result()
+
+
+def _equivariance(compose, act, small) -> CheckResult:
+    """(sigma.w1) o_i w2 = stretch.(w1 o_{sigma^-1(i)} w2), a row over i, and
+    w1 o_i (rho.w2) = embed.(w1 o_i w2), a row over rho, at a time.
+
+    Orbits are interned per arity of w1 and per block.  Per (w1, w2) the m
+    composites w1 o_i w2 are computed once, each distinct sigma.w1 is
+    composed with w2 once per slot, and w1 o_i once with each distinct rho.w2.
+    """
+    check = _Check("equivariance")
+    for m, w1s in small.items():
+        if m < 1:
+            continue
+        perms_m = all_perms(m)
+        slots = range(1, m + 1)
+        orbits1 = [_orbit(act, perms_m, w1) for w1 in w1s]
+        for n, w2s in small.items():
+            if n < 1:
+                continue
+            perms_n = all_perms(n)
+            stretches = [[stretch_at(sigma, i, n) for i in slots] for sigma in perms_m]
+            sources = [[k - 1 for k in invert_perm(sigma)] for sigma in perms_m]
+            embeds = [[embed_at(m, i, rho) for rho in perms_n] for i in slots]
+            orbits2 = [_orbit(act, perms_n, w2) for w2 in w2s]
+            for w1, (orbit1, ids1) in zip(w1s, orbits1):
+                for w2, (orbit2, ids2) in zip(w2s, orbits2):
+                    base = [compose(w1, i, w2) for i in slots]
+                    acted_rows = [[compose(d, i, w2) for i in slots] for d in ids1]
+                    for sigma, o, stretch_row, source in zip(perms_m, orbit1, stretches, sources):
+                        lhs = acted_rows[o]
+                        rhs = [act(s, base[k]) for s, k in zip(stretch_row, source)]
+                        check.instances += m
+                        if lhs != rhs and check.witness is None:
+                            check.fail(
+                                "(sigma.{w1}) o_{i} {w2} fails for sigma={sigma}",
+                                w1=w1, i=_first_difference(lhs, rhs) + 1, w2=w2, sigma=sigma,
+                            )
+                    for i, c, embed_row in zip(slots, base, embeds):
+                        composed = [compose(w1, i, d) for d in ids2]
+                        lhs = [composed[o] for o in orbit2]
+                        rhs = [act(e, c) for e in embed_row]
+                        check.instances += len(perms_n)
+                        if lhs != rhs and check.witness is None:
+                            check.fail(
+                                "{w1} o_{i} (rho.{w2}) fails for rho={rho}",
+                                w1=w1, i=i, w2=w2, rho=perms_n[_first_difference(lhs, rhs)],
+                            )
+    return check.result()
+
+
 def check_operad_axioms(
     P: OperadDescriptor,
     arity_bound: int,
@@ -316,14 +404,17 @@ def check_operad_axioms(
 ) -> AxiomReport:
     """Exhaustive axiom test over the enumerated elements.
 
-    Unit laws and equivariance run over elements of size <= size_bound; the
-    three-element axioms (sequential associativity and parallel commutation)
-    run over elements of size <= triple_size_bound, which defaults to
-    size_bound.  Arities with no elements are skipped.  Failures are report
-    content, not exceptions; each failing check carries its first
-    counterexample in enumeration order.  Every instance is compared, but
-    a composite that repeats within a block is computed once, so P.compose
-    must be a function of its inputs and return hashable elements.
+    Unit laws and the symmetric action run over elements of size <=
+    size_bound; sequential associativity, parallel commutation and
+    equivariance run over elements of size <= triple_size_bound, which
+    defaults to size_bound.  Arities with no elements are skipped.  Failures
+    are report content, not exceptions; each failing check carries its first
+    counterexample in enumeration order.  Every instance is compared, but a
+    value that repeats within a table is computed once (see the helpers):
+    inner composites per block, the product table of Sigma_n per arity, the
+    orbits sigma.w per element, and the composites w1 o_i w2 per (w1, w2).
+    So P.compose and P.act must be functions of their inputs and return
+    hashable elements.
     """
     if triple_size_bound is None:
         triple_size_bound = size_bound
@@ -334,7 +425,6 @@ def check_operad_axioms(
         else _elements_by_arity(P, arity_bound, triple_size_bound)
     )
     compose = P.compose
-    act = P.act
     report = AxiomReport(P.name)
 
     unit_left = _Check("unit-left")
@@ -355,73 +445,8 @@ def check_operad_axioms(
     report.checks.append(_sequential_associativity(compose, small))
     report.checks.append(_parallel_commutation(compose, small))
 
-    action = _Check("symmetric-action")
-    for n, ws in els.items():
-        if n < 1:
-            continue
-        perms = all_perms(n)
-        ident = identity_perm(n)
-        for w in ws:
-            action.instances += 1
-            if act(ident, w) != w:
-                action.fail("id . {w} != {w}", w=w)
-            for sigma in perms:
-                for tau in perms:
-                    action.instances += 1
-                    if act(sigma, act(tau, w)) != act(compose_perms(sigma, tau), w):
-                        action.fail(
-                            "sigma.(tau.{w}) != (sigma tau).{w} for {sigma}, {tau}",
-                            w=w, sigma=sigma, tau=tau,
-                        )
-    report.checks.append(action.result())
-
-    equiv = _Check("equivariance")
-    for m, w1s in small.items():
-        if m < 1:
-            continue
-        for n, w2s in small.items():
-            if n < 1:
-                continue
-            perms_m = all_perms(m)
-            perms_n = all_perms(n)
-            stretches = {
-                (sigma, i): stretch_at(sigma, i, n)
-                for sigma in perms_m
-                for i in range(1, m + 1)
-            }
-            embeds = {
-                (i, rho): embed_at(m, i, rho)
-                for i in range(1, m + 1)
-                for rho in perms_n
-            }
-            inverses = {sigma: invert_perm(sigma) for sigma in perms_m}
-            for w1 in w1s:
-                for w2 in w2s:
-                    for sigma in perms_m:
-                        sigma_inv = inverses[sigma]
-                        acted = act(sigma, w1)
-                        for i in range(1, m + 1):
-                            equiv.instances += 1
-                            lhs = compose(acted, i, w2)
-                            rhs = act(
-                                stretches[(sigma, i)],
-                                compose(w1, sigma_inv[i - 1], w2),
-                            )
-                            if lhs != rhs:
-                                equiv.fail(
-                                    "(sigma.{w1}) o_{i} {w2} fails for sigma={sigma}",
-                                    w1=w1, i=i, w2=w2, sigma=sigma,
-                                )
-                    for i in range(1, m + 1):
-                        base = compose(w1, i, w2)
-                        for rho in perms_n:
-                            equiv.instances += 1
-                            if compose(w1, i, act(rho, w2)) != act(embeds[(i, rho)], base):
-                                equiv.fail(
-                                    "{w1} o_{i} (rho.{w2}) fails for rho={rho}",
-                                    w1=w1, i=i, w2=w2, rho=rho,
-                                )
-    report.checks.append(equiv.result())
+    report.checks.append(_symmetric_action(P.act, els))
+    report.checks.append(_equivariance(compose, P.act, small))
     return report
 
 

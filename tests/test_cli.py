@@ -144,6 +144,10 @@ POLYS = st.sampled_from(
     ["0", "X1", "X1^2", "X1^3", "X1*X2", "X1^2*X2", "g*X1 + X1^4", "2*X1", "X1^^2", "X3"]
 )
 WORDS = st.sampled_from(["", "x1", "x1 x2^-1", "x2 x1 x2^-1", "x1^2", "y1", "x3"])
+RINGS = st.sampled_from(  # good specs (Q is refused with exit 1), then bad ones
+    ["zmod:4", "2", "3", "2^2", "Q", "zmod:0", "zmod:1", "zmod:x", "zmod:-3", "4", "2^0", "",
+     "foo"]
+)
 
 
 ARGVS = st.one_of(
@@ -185,6 +189,13 @@ ARGVS = st.one_of(
     _cmd("word", "enumerate", arity1=SMALL, max_length=st.integers(-2, 2)),
     _cmd("perm", "compose", arity1=SMALL, index1=SLOTS, arity2=SMALL, index2=SLOTS, at=SLOTS),
     _cmd("perm", "check", arity_bound=SMALL, inject_fault=_maybe(st.just("perm-compose"))),
+    _cmd("central-mod", ring=RINGS, rank=SMALL, arity=SMALL),
+    st.builds(
+        lambda ring, wa: ["graded", f"--ring={ring}", f"--window={wa[0]}", f"--arity={wa[1]}"],
+        RINGS,
+        # window * arity <= 1 keeps each argv to milliseconds (zmod:4 at 2, 1 takes 70 ms)
+        st.tuples(SMALL, SMALL).filter(lambda wa: wa[0] * wa[1] <= 1 or min(wa) < 0),
+    ),
     st.builds(
         lambda dn, gens, seed, all_gl: [
             "schur-weyl", f"--dimension={dn[0]}", f"--arity={dn[1]}",

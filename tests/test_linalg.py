@@ -394,6 +394,34 @@ def test_diagonal_prime_matrix():
     D = diagonal_prime_matrix(QQ, 3)
     assert [D.data[i][i] for i in range(3)] == [2, 3, 5]
     assert matrix_rank(D) == 3
+    # over F_3 the prime 3 vanishes and is skipped: diag(2, 5, 7) = diag(2, 2, 1)
+    D3 = diagonal_prime_matrix(F3, 3)
+    assert [F3.format_value(D3.data[i][i]) for i in range(3)] == ["2", "2", "1"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_generators_are_invertible_over_finite_fields(q):
+    F = finite_field(q)
+    for d in range(1, 5):
+        for seed in range(3):
+            gens = random_invertible_generators(F, d, 3, seed)
+            assert [matrix_rank(g) for g in gens] == [d] * 3, (d, seed)
+
+
+def test_rational_generators_are_pinned():
+    """Skipping vanishing primes changes nothing over Q."""
+
+    def ints(gens):
+        return [[[int(x) for x in row] for row in g.data] for g in gens]
+
+    assert ints(random_invertible_generators(QQ, 2, 4, seed=0)) == [
+        [[2, 0], [0, 3]], [[-3, -1], [1, 0]], [[0, 3], [3, -1]], [[0, -1], [1, -2]],
+    ]
+    assert ints(random_invertible_generators(QQ, 3, 3, seed=2)) == [
+        [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+        [[3, 3, -3], [-3, -3, -1], [3, -2, 2]],
+        [[3, 2, 3], [-1, -1, 1], [-2, 1, -3]],
+    ]
 
 
 def test_matrix_json_uses_scalar_strings():

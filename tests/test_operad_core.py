@@ -10,6 +10,9 @@ from endop.errors import OperadMismatch, PositionOutOfRange
 from endop.faults import corrupted_perm_operad, corrupted_word_operad
 from endop.operad_core import (
     PermElement,
+    _elements_by_arity,
+    _equivariance,
+    _symmetric_action,
     check_algebra_action,
     check_operad_axioms,
     compose_at,
@@ -18,9 +21,23 @@ from endop.operad_core import (
     perm_operad,
     trivial_operad,
 )
-from endop.perms import all_perms
-from endop.scalars import IntegersMod
-from endop.word_operad import ReducedWord, reduced_word_count, word_compose, word_operad
+from endop.perms import (
+    all_perms,
+    compose_perms,
+    embed_at,
+    identity_perm,
+    invert_perm,
+    stretch_at,
+)
+from endop.qpoly_operad import qpoly_operad
+from endop.scalars import IntegersMod, finite_field
+from endop.word_operad import (
+    ReducedWord,
+    reduced_word_count,
+    word_compose,
+    word_operad,
+    word_perm_act,
+)
 
 
 def test_perm_defining_relations():
@@ -216,6 +233,109 @@ def test_three_element_checks_match_one_by_one_oracle():
         reports.append(rep)
     # the first failure of flip_unary is the second instance of its row
     assert reports[2].checks[2].witness == "(x1 o_1 x1) o_1 x1 != x1 o_1 (x1 o_1 x1)"
+
+
+def action_checks_one_by_one(P, arity_bound, size_bound, triple_size_bound):
+    """Oracle: the symmetric-action and equivariance checks evaluated one
+    instance at a time, in enumeration order, as (instances, witness)."""
+    els = {n: P.enumerate_arity(n, size_bound) for n in range(1, arity_bound + 1)}
+    els = {n: ws for n, ws in els.items() if ws}
+    small = {n: P.enumerate_arity(n, triple_size_bound) for n in range(1, arity_bound + 1)}
+    small = {n: ws for n, ws in small.items() if ws}
+    a, c = P.act, P.compose
+    act, act_witness = 0, None
+    for n, ws in els.items():
+        for w in ws:
+            act += 1
+            if act_witness is None and a(identity_perm(n), w) != w:
+                act_witness = f"id . {w} != {w}"
+            for sigma, tau in product(all_perms(n), repeat=2):
+                act += 1
+                if act_witness is None and a(sigma, a(tau, w)) != a(compose_perms(sigma, tau), w):
+                    act_witness = f"sigma.(tau.{w}) != (sigma tau).{w} for {sigma}, {tau}"
+    equiv, equiv_witness = 0, None
+    for (m, w1s), (n, w2s) in product(small.items(), repeat=2):
+        for w1, w2 in product(w1s, w2s):
+            for sigma, i in product(all_perms(m), range(1, m + 1)):
+                equiv += 1
+                rhs = a(stretch_at(sigma, i, n), c(w1, invert_perm(sigma)[i - 1], w2))
+                if equiv_witness is None and c(a(sigma, w1), i, w2) != rhs:
+                    equiv_witness = f"(sigma.{w1}) o_{i} {w2} fails for sigma={sigma}"
+            for i, rho in product(range(1, m + 1), all_perms(n)):
+                equiv += 1
+                rhs = a(embed_at(m, i, rho), c(w1, i, w2))
+                if equiv_witness is None and c(w1, i, a(rho, w2)) != rhs:
+                    equiv_witness = f"{w1} o_{i} (rho.{w2}) fails for rho={rho}"
+    return [(act, act_witness), (equiv, equiv_witness)]
+
+
+def inverse_act(act):
+    """Wrong: acts by sigma^-1, which is a right action, not a left one."""
+    return lambda sigma, w: act(invert_perm(sigma), w)
+
+
+def shifted_perm_act(sigma, w):
+    """Wrong: every relabelling, the identity too, moves pi_i on by one."""
+    return PermElement(w.arity, sigma[w.index - 1] % w.arity + 1)
+
+
+def act_ignoring_sigma(sigma, w):
+    """Wrong: arity-3 words of length 2 are left fixed by every sigma."""
+    return w if w.arity == 3 and len(w) == 2 else word_perm_act(sigma, w)
+
+
+ACTION_CASES = {  # operad, arity bound, size bounds, witnesses of the action checks
+    "word": (word_operad(), 2, 2, 2, [None, None]),
+    "perm": (perm_operad(), 4, 0, 0, [None, None]),
+    "qpoly-f2": (qpoly_operad(finite_field(2)), 2, 1, 1, [None, None]),
+    "perm-compose": (
+        corrupted_perm_operad(), 3, 0, 0,
+        [None, "(sigma.pi1[2]) o_1 pi1[1] fails for sigma=(2, 1)"],
+    ),
+    "perm-inverse-act": (
+        replace(perm_operad(), act=inverse_act(perm_act)), 4, 0, 0,
+        [
+            "sigma.(tau.pi1[3]) != (sigma tau).pi1[3] for (1, 3, 2), (2, 1, 3)",
+            "(sigma.pi1[2]) o_1 pi1[2] fails for sigma=(2, 1)",
+        ],
+    ),
+    "perm-shifted-act": (
+        replace(perm_operad(), act=shifted_perm_act), 3, 0, 0,
+        ["id . pi1[2] != pi1[2]", "(sigma.pi1[1]) o_1 pi1[2] fails for sigma=(1,)"],
+    ),
+    "word-inverse-act": (
+        replace(word_operad(), act=inverse_act(word_perm_act)), 3, 2, 1,
+        [
+            "sigma.(tau.x1) != (sigma tau).x1 for (1, 3, 2), (2, 1, 3)",
+            "(sigma.x1) o_1 e fails for sigma=(2, 1)",
+        ],
+    ),
+    "word-act-ignoring-sigma": (
+        replace(word_operad(), act=act_ignoring_sigma), 3, 2, 2,
+        [None, "x1 x1 o_1 (rho.x1) fails for rho=(2, 1, 3)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ACTION_CASES)
+def test_action_checks_match_one_by_one_oracle(case):
+    """The row-wise action and equivariance checks compare every instance
+    and name the first failing one, as the oracle does; the witnesses are
+    pinned too.  The helpers are called on the element sets that
+    check_operad_axioms hands them, so that the three-element checks need
+    not run at (3, 2, 2)."""
+    P, arity_bound, size_bound, triple_size_bound, witnesses = ACTION_CASES[case]
+    els = _elements_by_arity(P, arity_bound, size_bound)
+    small = _elements_by_arity(P, arity_bound, triple_size_bound)
+    got = [
+        (c.instances, c.witness)
+        for c in (_symmetric_action(P.act, els), _equivariance(P.compose, P.act, small))
+    ]
+    assert got == action_checks_one_by_one(P, arity_bound, size_bound, triple_size_bound)
+    assert [witness for _, witness in got] == witnesses
+    if case != "word-act-ignoring-sigma":
+        rep = check_operad_axioms(P, arity_bound, size_bound, triple_size_bound)
+        assert [(c.instances, c.witness) for c in rep.checks[4:]] == got
 
 
 def test_corrupted_perm_is_caught_with_named_witness():
