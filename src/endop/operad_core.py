@@ -216,14 +216,26 @@ def _intern(ids, values):
     return [ids.setdefault(v, len(ids)) for v in values]
 
 
+def _shared(values, row):
+    """row as a tuple of the first-met copies of its entries, adding new
+    values to the table values: rows so built keep one copy of each value,
+    and compare equal by identity when built from one table."""
+    return tuple([values.setdefault(v, v) for v in row])
+
+
 def _sequential_associativity(compose, small) -> CheckResult:
     """(w1 o_i w2) o_{i+j-1} w3 = w1 o_i (w2 o_j w3), a row over w3 at a time.
 
-    In each block (arity of w2, arity of w3) the inner composites w2 o_j w3
-    are interned to small ints, and w1 o_i is applied once per (w1, i) to
-    each distinct one; a right-hand row is then read off by those ids.  The
-    left-hand row is computed once per distinct (w1 o_i w2, k) of a (w1, i).
-    Each table is dropped with its block or its (w1, i).
+    In each block (arity n of w2, arity p of w3) the inner composites
+    w2 o_j w3 are interned to small ints.  The block is then worked one arity
+    m of w1 and one slot i at a time, the i loop outside the w1 loop: w1 o_i
+    is applied once per (w1, i) to each distinct inner composite, so that a
+    right-hand row is read off by ids, and a left-hand row is computed once
+    per distinct (w1 o_i w2, k) of the (n, p, m, i), whichever w1 gave it.
+    The tables of an (n, p, m, i) are dropped with it.  Slot-major order is
+    not enumeration order, so of the failing instances of an (n, p, m) the
+    one first in enumeration order (smallest w1 index, then i) is kept, and
+    only it is formatted.
     """
     check = _Check("sequential-associativity")
     for n, w2s in small.items():
@@ -239,37 +251,47 @@ def _sequential_associativity(compose, small) -> CheckResult:
             for m, w1s in small.items():
                 if m < 1:
                     continue
-                for w1 in w1s:
-                    for i in range(1, m + 1):
-                        outer = [compose(w1, i, d) for d in distinct]
-                        left_rows = {}
+                first = None  # ((w1 index, i), witness fields) of the earliest failure
+                for i in range(1, m + 1):
+                    values = {}
+                    left_rows = {}
+                    for a, w1 in enumerate(w1s):
+                        outer = _shared(values, [compose(w1, i, d) for d in distinct])
                         for w2, inner_rows in zip(w2s, inner):
                             c12 = compose(w1, i, w2)
                             for j, inner_row in enumerate(inner_rows, 1):
                                 k = i + j - 1
                                 lhs = left_rows.get((c12, k))
                                 if lhs is None:
-                                    lhs = tuple([compose(c12, k, w3) for w3 in w3s])
+                                    lhs = _shared(values, [compose(c12, k, w3) for w3 in w3s])
                                     left_rows[c12, k] = lhs
                                 rhs = tuple(map(outer.__getitem__, inner_row))
                                 check.instances += len(w3s)
-                                if lhs != rhs and check.witness is None:
-                                    check.fail(
-                                        "({w1} o_{i} {w2}) o_{k} {w3} != "
-                                        "{w1} o_{i} ({w2} o_{j} {w3})",
-                                        w1=w1, i=i, w2=w2, k=k, j=j,
-                                        w3=w3s[_first_difference(lhs, rhs)],
-                                    )
+                                if (
+                                    lhs != rhs
+                                    and check.witness is None
+                                    and (first is None or (a, i) < first[0])
+                                ):
+                                    w3 = w3s[_first_difference(lhs, rhs)]
+                                    first = (a, i), dict(w1=w1, i=i, w2=w2, k=k, j=j, w3=w3)
+                if first is not None:
+                    check.fail(
+                        "({w1} o_{i} {w2}) o_{k} {w3} != {w1} o_{i} ({w2} o_{j} {w3})",
+                        **first[1],
+                    )
     return check.result()
 
 
 def _parallel_commutation(compose, small) -> CheckResult:
     """(w1 o_j w3) o_i w2 = (w1 o_i w2) o_{j+n-1} w3 for i < j, a row over w3
-    at a time, with tables as in the sequential check.
+    at a time, in enumeration order.
 
-    For each (w1, i) the composites w1 o_j w3 with j > i are interned, and
-    o_i w2 is applied once to each distinct one; the right-hand row is
-    computed once per distinct (w1 o_i w2, j+n-1).
+    Per w1 the composites w1 o_j w3 are computed once for every j.  Two
+    tables live for one block (arity m of w1, arity p of w3, arity n of w2)
+    and are shared by all its (w1, i): the left column (w1 o_j w3) o_i w2
+    over w2, computed once per distinct (w1 o_j w3, i), and the right-hand
+    row (w1 o_i w2) o_{j+n-1} w3 over w3, once per distinct (w1 o_i w2,
+    j+n-1).  A left-hand row over w3 is read across the columns.
     """
     check = _Check("parallel-commutation")
     for m, w1s in small.items():
@@ -279,24 +301,27 @@ def _parallel_commutation(compose, small) -> CheckResult:
             for n, w2s in small.items():
                 if n < 1:
                     continue
+                values = {}
+                columns = {}
+                rhs_rows = {}
                 for w1 in w1s:
+                    by_slot = {j: [compose(w1, j, w3) for w3 in w3s] for j in range(2, m + 1)}
                     for i in range(1, m):
-                        right_ids = {}
-                        right_rows = {
-                            j: _intern(right_ids, [compose(w1, j, w3) for w3 in w3s])
-                            for j in range(i + 1, m + 1)
-                        }
-                        outer = [[compose(d, i, w2) for d in right_ids] for w2 in w2s]
                         c1 = [compose(w1, i, w2) for w2 in w2s]
-                        rhs_rows = {}
                         for j in range(i + 1, m + 1):
                             k = j + n - 1
-                            for w2, outer_w2, c in zip(w2s, outer, c1):
+                            row = []
+                            for d in by_slot[j]:
+                                column = columns.get((d, i))
+                                if column is None:
+                                    column = _shared(values, [compose(d, i, w2) for w2 in w2s])
+                                    columns[d, i] = column
+                                row.append(column)
+                            for w2, c, lhs in zip(w2s, c1, zip(*row)):
                                 rhs = rhs_rows.get((c, k))
                                 if rhs is None:
-                                    rhs = tuple([compose(c, k, w3) for w3 in w3s])
+                                    rhs = _shared(values, [compose(c, k, w3) for w3 in w3s])
                                     rhs_rows[c, k] = rhs
-                                lhs = tuple(map(outer_w2.__getitem__, right_rows[j]))
                                 check.instances += len(w3s)
                                 if lhs != rhs and check.witness is None:
                                     check.fail(
@@ -411,10 +436,14 @@ def check_operad_axioms(
     are report content, not exceptions; each failing check carries its first
     counterexample in enumeration order.  Every instance is compared, but a
     value that repeats within a table is computed once (see the helpers):
-    inner composites per block, the product table of Sigma_n per arity, the
-    orbits sigma.w per element, and the composites w1 o_i w2 per (w1, w2).
-    So P.compose and P.act must be functions of their inputs and return
-    hashable elements.
+    inner composites per block of arities, left-hand rows of sequential
+    associativity per block and slot, columns and right-hand rows of
+    parallel commutation per block, the product table of Sigma_n per arity,
+    the orbits sigma.w per element, and the composites w1 o_i w2 per
+    (w1, w2).  No table outlives its block.  Sequential associativity runs
+    slot-major, out of enumeration order, and keeps the failing instance
+    first in enumeration order.  So P.compose and P.act must be functions
+    of their inputs and return hashable elements.
     """
     if triple_size_bound is None:
         triple_size_bound = size_bound

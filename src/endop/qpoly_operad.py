@@ -59,15 +59,11 @@ def _collect(field, pairs):
     return {exp: c for exp, c in out.items() if c != zero}
 
 
-def _sorted_terms(terms):
-    return tuple(sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
-
-
 def _format_terms(field, terms):
     if not terms:
         return "0"
     chunks = []
-    for exp, coeff in _sorted_terms(terms):
+    for exp, coeff in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
         vars_part = "*".join(
             f"X{i + 1}" if e == 1 else f"X{i + 1}^{e}"
             for i, e in enumerate(exp)
@@ -187,7 +183,9 @@ class FieldPolynomial:
         )
 
     def __hash__(self):
-        return hash((self.field, self.arity, self.cap, _sorted_terms(self.terms)))
+        # the field is left out: it costs more to hash than all the rest,
+        # and equal polynomials share it anyway
+        return hash((self.arity, self.cap, frozenset(self.terms.items())))
 
     def __add__(self, other):
         self._check(other)

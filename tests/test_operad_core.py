@@ -213,26 +213,59 @@ def three_element_checks_one_by_one(P, arity_bound, size_bound):
 
 def test_three_element_checks_match_one_by_one_oracle():
     """The row-wise checks compare every instance and name the first
-    failing one, also when it lies inside a row over w3."""
+    failing one, also when it lies inside a row over w3, and also when the
+    slot-major sequential check meets a later failure first."""
 
     def flip_unary(w1, i, w2):
         # wrong: a unary word plugged into a wider one is inverted first
         return word_compose(w1, i, w2.inverse() if w2.arity == 1 and w1.arity >= 2 else w2)
 
-    cases = [
-        (word_operad(), 2, 1),
-        (corrupted_word_operad(), 2, 2),
-        (replace(word_operad(), compose=flip_unary), 2, 2),
-        (corrupted_perm_operad(), 3, 0),
+    def two_slot_fault(w1, i, w2):
+        # wrong: x1 x2 o_2 and x2 x1 o_1 invert w2 first; x2 x1 comes later
+        # in enumeration order, but its slot 1 is visited before slot 2
+        if (w1.letters, i) in {((1, 2), 2), ((2, 1), 1)}:
+            w2 = w2.inverse()
+        return word_compose(w1, i, w2)
+
+    cases = [  # operad, arity bound, size bound, pinned witnesses
+        (word_operad(), 2, 1, [None, None]),
+        # arity 3 makes left rows (w1 o_i w2) o_k w3 repeat across w1
+        (word_operad(), 3, 1, [None, None]),
+        (
+            corrupted_word_operad(), 2, 2,
+            [
+                "(x1 x2 o_2 x1^-1) o_2 e != x1 x2 o_2 (x1^-1 o_1 e)",
+                "(x1 x2^-1 o_2 e) o_1 x1 != (x1 x2^-1 o_1 x1) o_2 e",
+            ],
+        ),
+        (
+            replace(word_operad(), compose=flip_unary), 2, 2,
+            # the sequential failure is the second instance of its row
+            [
+                "(x1 o_1 x1) o_1 x1 != x1 o_1 (x1 o_1 x1)",
+                "(x1 o_2 e) o_1 x1 != (x1 o_1 x1) o_2 e",
+            ],
+        ),
+        (
+            replace(word_operad(), compose=two_slot_fault), 2, 2,
+            [
+                "(x1 x2 o_2 x1^-1) o_2 x1 != x1 x2 o_2 (x1^-1 o_1 x1)",
+                "(x2 x1 o_2 e) o_1 x1 != (x2 x1 o_1 x1) o_2 e",
+            ],
+        ),
+        (
+            corrupted_perm_operad(), 3, 0,
+            [
+                "(pi3[3] o_1 pi1[1]) o_1 pi1[1] != pi3[3] o_1 (pi1[1] o_1 pi1[1])",
+                "(pi2[2] o_2 pi2[2]) o_1 pi1[1] != (pi2[2] o_1 pi1[1]) o_2 pi2[2]",
+            ],
+        ),
     ]
-    reports = []
-    for P, arity_bound, size_bound in cases:
+    for P, arity_bound, size_bound, witnesses in cases:
         rep = check_operad_axioms(P, arity_bound, size_bound)
         got = [(c.instances, c.witness) for c in rep.checks[2:4]]
         assert got == three_element_checks_one_by_one(P, arity_bound, size_bound), P.name
-        reports.append(rep)
-    # the first failure of flip_unary is the second instance of its row
-    assert reports[2].checks[2].witness == "(x1 o_1 x1) o_1 x1 != x1 o_1 (x1 o_1 x1)"
+        assert [witness for _, witness in got] == witnesses, P.name
 
 
 def action_checks_one_by_one(P, arity_bound, size_bound, triple_size_bound):

@@ -75,6 +75,12 @@ def test_free_reduce_idempotent(letters):
     assert free_reduce(w.letters, 3) == w
 
 
+@given(letters_strategy, st.integers(0, 3))
+def test_parse_word_inverts_str(letters, arity):
+    w = free_reduce([v for v in letters if abs(v) <= arity], arity)
+    assert parse_word(str(w), arity) == w
+
+
 def test_word_compose_examples():
     assert str(word_compose(parse_word("x1 x2", 2), 1, parse_word("x1^-1", 1))) == "x1^-1 x2"
     w = word_compose(parse_word("x1 x2 x1^-1", 2), 2, ReducedWord(0, ()))
