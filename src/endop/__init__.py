@@ -10,7 +10,6 @@ generic checker verifies the operad axioms.
 
 from .errors import (
     BoundExceeded,
-    CapTooSmall,
     DomainMismatch,
     EndopError,
     FieldMismatch,

@@ -221,7 +221,7 @@ def cmd_qpoly(args):
         }
     if args.action == "check":
         f = _parse_arg("--f", args.f, lambda s: FieldPolynomial.parse(field, args.arity, s))
-        verdict = multilinearity_check(f, args.cap)
+        verdict = multilinearity_check(f)
         return {"multilinear": verdict.multilinear, "witness": verdict.witness}
     if args.action == "generate":
         if not is_q_power(args.exp_bound, field.q):
@@ -408,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f")
     p.add_argument("--g")
     p.add_argument("--maxdeg", type=int, default=4)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--exp-bound", type=int, default=2)
     p.set_defaults(fn=cmd_qpoly)
 

@@ -45,10 +45,6 @@ class TruncationMismatch(EndopError):
     pass
 
 
-class CapTooSmall(EndopError):
-    pass
-
-
 class NotAGroup(EndopError):
     pass
 

@@ -324,15 +324,17 @@ class HomBasis:
     domain_dim: int
     codomain_dim: int
     matrices: tuple
-    domain: Domain = field(compare=False, default=None)
+    domain: Domain = field(compare=False)
 
     def __post_init__(self):
         for m in self.matrices:
             if (m.nrows, m.ncols) != (self.codomain_dim, self.domain_dim):
                 raise ValueError("basis matrix with wrong shape")
+            if m.domain != self.domain:
+                raise DomainMismatch(f"basis matrix over {m.domain}, not {self.domain}")
         if self.matrices:
             vecs = [tuple(a for row in m.data for a in row) for m in self.matrices]
-            if len(span_basis(vecs, self.matrices[0].domain)) != len(vecs):
+            if len(span_basis(vecs, self.domain)) != len(vecs):
                 raise ValueError("basis matrices are linearly dependent")
 
     @property
@@ -341,10 +343,7 @@ class HomBasis:
 
     def span_elements(self):
         """Every matrix in the span (finite domains only)."""
-        if not self.matrices:
-            dom = self.domain
-            return [ExactMatrix.zeros(dom, self.codomain_dim, self.domain_dim)]
-        dom = self.matrices[0].domain
+        dom = self.domain
         out = []
         for coeffs in product(dom.elements(), repeat=len(self.matrices)):
             acc = ExactMatrix.zeros(dom, self.codomain_dim, self.domain_dim)
@@ -478,13 +477,10 @@ def intertwiner_basis(condition_pairs, dcod, ddom, dom) -> HomBasis:
     return _basis_to_matrices(basis, dcod, ddom, dom)
 
 
-def equivariant_homs(generators, n: int, codomain_power: bool = True) -> HomBasis:
-    """Basis of maps V^(tensor n) -> V^(tensor n) (or -> V) commuting with
-    every generator of a subgroup of GL(V).
-
-    Each generator g contributes the condition g_cod Phi = Phi g^(tensor n),
-    where g_cod is g^(tensor n) for the tensor-power codomain and g itself
-    for the vector codomain.
+def equivariant_homs(generators, n: int) -> HomBasis:
+    """Basis of maps V^(tensor n) -> V^(tensor n) commuting with every
+    generator of a subgroup of GL(V): each generator g contributes the
+    condition g^(tensor n) Phi = Phi g^(tensor n).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -497,14 +493,8 @@ def equivariant_homs(generators, n: int, codomain_power: bool = True) -> HomBasi
             raise ValueError("generators must be square of equal size")
         if matrix_rank(g) != d:
             raise NotInvertible("singular generator")
-    pairs = []
-    for g in generators:
-        B = kron_power(g, n)
-        A = B if codomain_power else g
-        pairs.append((A, B))
-    ddom = d ** n
-    dcod = ddom if codomain_power else d
-    return intertwiner_basis(pairs, dcod, ddom, dom)
+    pairs = [(B, B) for B in (kron_power(g, n) for g in generators)]
+    return intertwiner_basis(pairs, d ** n, d ** n, dom)
 
 
 def permutation_operator(domain, d: int, sigma) -> ExactMatrix:
@@ -538,33 +528,28 @@ def symmetric_group_span(d: int, n: int):
     return operators, span_basis(vecs, QQ)
 
 
-def diagonal_prime_matrix(domain, d: int) -> ExactMatrix:
-    """diag(2, 3, 5, ...) over the primes that do not vanish in the domain:
-    invertible over a field, and over Q of pairwise distinct multiplicative
-    order."""
-    primes, entries = [], []
+def diagonal_prime_matrix(d: int) -> ExactMatrix:
+    """diag(2, 3, 5, ...) over Q: scalars of pairwise distinct
+    multiplicative order."""
+    primes = []
     x = 2
-    while len(entries) < d:
+    while len(primes) < d:
         if all(x % q for q in primes):
             primes.append(x)
-            if domain.coerce(x) != domain.zero_raw:
-                entries.append(domain.coerce(x))
         x += 1
-    zero = domain.zero_raw
-    rows = [[v if i == j else zero for j in range(d)] for i, v in enumerate(entries)]
-    return ExactMatrix(domain, rows)
+    return ExactMatrix(QQ, [[p if i == j else 0 for j in range(d)] for i, p in enumerate(primes)])
 
 
-def random_invertible_generators(domain, d: int, count: int, seed: int = 0):
-    """Deterministic pseudorandom invertible matrices, preceded by the
-    diagonal matrix with distinct prime entries."""
+def random_invertible_generators(d: int, count: int, seed: int = 0):
+    """Deterministic pseudorandom invertible matrices over Q, preceded by
+    the diagonal matrix with distinct prime entries."""
     if d < 0:
         raise ValueError(f"dimension {d} must be non-negative")
     rng = random.Random(seed)
-    gens = [diagonal_prime_matrix(domain, d)]
+    gens = [diagonal_prime_matrix(d)]
     while len(gens) < count:
         rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
-        m = ExactMatrix(domain, rows)
+        m = ExactMatrix(QQ, rows)
         if matrix_rank(m) == d:
             gens.append(m)
     return gens
@@ -613,25 +598,26 @@ def _certified_commutant(d, n, powers, count, cells):
     return basis if upper == len(basis) else None
 
 
-def schur_weyl_dimension(d: int, n: int, count: int = 8, seed: int = 0, domain=QQ):
-    """Dimension of the commutant of `count` seeded generators on V^(tensor n),
-    with a stabilization check against doubling the generator list.
+def schur_weyl_dimension(d: int, n: int, count: int = 8, seed: int = 0):
+    """Dimension over Q of the commutant of `count` seeded generators on
+    V^(tensor n), with a stabilization check against doubling the generator
+    list.
 
-    Returns (dimension, stable, basis).  Over Q the S_n image is certified
-    first, stability with it.  Else the doubled run intersects the extra
+    Returns (dimension, stable, basis).  The S_n image is certified first,
+    stability with it.  Else the doubled run intersects the extra
     conditions into the first solution space, which is the same as solving
     the doubled system from scratch."""
     if d < 0 or n < 0:
         raise ValueError(f"dimension {d} and tensor power {n} must be non-negative")
-    doubled = random_invertible_generators(domain, d, 2 * count, seed)
+    doubled = random_invertible_generators(d, 2 * count, seed)
     powers = [kron_power(g, n) for g in doubled]
     cells = [(0, i, j) for i in range(d ** n) for j in range(d ** n)]
-    certified = _certified_commutant(d, n, powers, count, cells) if domain == QQ else None
+    certified = _certified_commutant(d, n, powers, count, cells)
     if certified is not None:
         sparse = [dict(zip(cells, vec)) for vec in certified]
         return len(sparse), True, _basis_to_matrices(sparse, d ** n, d ** n, QQ)
     conditions = [(0, 0, B, B) for B in powers]
-    sparse = _intersect_conditions(conditions[:count], cells, domain)
-    basis = _basis_to_matrices(sparse, d ** n, d ** n, domain)
-    sparse2 = _intersect_conditions(conditions[count:], cells, domain, sparse)
+    sparse = _intersect_conditions(conditions[:count], cells, QQ)
+    basis = _basis_to_matrices(sparse, d ** n, d ** n, QQ)
+    sparse2 = _intersect_conditions(conditions[count:], cells, QQ, sparse)
     return basis.dimension, basis.dimension == len(sparse2), basis

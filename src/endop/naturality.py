@@ -338,7 +338,8 @@ def _equivariant_tables(maps, size, arity):
 
 # -- the central operad of finite sets ---------------------------------------
 
-def _central_set(n, endomaps, context, complete):
+def _central_set(n, context):
+    endomaps = list(product(range(n), repeat=n))
     with _Timer() as tm:
         survivors = _equivariant_tables(endomaps, n, n)
     return NaturalityReport(
@@ -347,22 +348,18 @@ def _central_set(n, endomaps, context, complete):
         objects=[f"[{n}]"],
         morphisms=len(endomaps),
         survivors=[FiniteFunction(n ** n, n, phi) for phi in survivors],
-        complete=complete,
+        complete=True,
         elapsed_ms=tm.ms,
     )
 
 
-def central_set_bruteforce(n: int, endomaps=None) -> NaturalityReport:
-    """All maps [n]^n -> [n] commuting with every endomap of [n], or with the
-    given endomaps only (complete=False).  Bounded at n <= 2, where the
-    n^(n^n) candidate maps could still be enumerated."""
+def central_set_bruteforce(n: int) -> NaturalityReport:
+    """All maps [n]^n -> [n] commuting with every endomap of [n].  Bounded
+    at n <= 2, where the n^(n^n) candidate maps could still be
+    enumerated."""
     if n > 2:
         raise BoundExceeded(f"cannot enumerate {n}^({n}^{n}) candidate maps")
-    if endomaps is None:
-        maps = list(product(range(n), repeat=n))
-    else:
-        maps = [FiniteFunction(n, n, tuple(f)).values for f in endomaps]
-    return _central_set(n, maps, "central-set-bruteforce", endomaps is None)
+    return _central_set(n, "central-set-bruteforce")
 
 
 def central_set_determined(n: int) -> NaturalityReport:
@@ -371,7 +368,7 @@ def central_set_determined(n: int) -> NaturalityReport:
     under the endomaps.  For n = 0 there are no values at all."""
     if n > 4:
         raise BoundExceeded("determination check bounded at n <= 4")
-    return _central_set(n, list(product(range(n), repeat=n)), "central-set-determined", True)
+    return _central_set(n, "central-set-determined")
 
 
 # -- the central operad of R-modules -----------------------------------------

@@ -8,10 +8,10 @@ operation generate this operad, subject to commutativity, associativity,
 and mu o (P_q (x) P_q) = P_q o mu.
 
 One sparse type holds every polynomial: FieldPolynomial, a dict from
-exponent tuples to raw field values (see scalars.FiniteField), optionally
-truncated above a total degree.  QPolynomial is a FieldPolynomial that
-checks the q-power shape when it is built from outside input; composition
-and relabelling keep that shape and build their results unchecked.
+exponent tuples to raw field values (see scalars.FiniteField).  QPolynomial
+is a FieldPolynomial that checks the q-power shape when it is built from
+outside input; composition and relabelling keep that shape and build their
+results unchecked.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from itertools import chain, product
 from operator import add
 
 from .errors import (
-    CapTooSmall,
     FieldMismatch,
     MalformedTree,
     OperadMismatch,
@@ -119,73 +118,61 @@ def _parse_terms(field, arity, s):
 
 class FieldPolynomial:
     """A sparse polynomial over F_q, {exponent tuple: raw coefficient}, with
-    arbitrary nonnegative exponents.
-
-    With a total-degree `cap` it is an element of the free commutative
-    algebra on `arity` generators truncated above that degree: terms past
-    the cap are dropped on construction and in products.  The linearity
-    test evaluates polynomials, also outside the q-power operad, in such a
-    truncation.  Operands must share field, arity and cap.
+    arbitrary nonnegative exponents.  Operands must share field and arity.
     """
 
-    __slots__ = ("field", "arity", "cap", "terms")
+    __slots__ = ("field", "arity", "terms")
 
-    def __init__(self, field: FiniteField, arity: int, terms=None, cap: int | None = None):
+    def __init__(self, field: FiniteField, arity: int, terms=None):
         clean = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != arity or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp}")
-            if cap is not None and sum(exp) > cap:
-                continue
             coeff = _coerce(field, coeff)
             if coeff != field.zero_raw:
                 clean[exp] = coeff
-        self.field, self.arity, self.cap, self.terms = field, arity, cap, clean
+        self.field, self.arity, self.terms = field, arity, clean
 
     @classmethod
-    def _raw(cls, field, arity, terms, cap=None):
+    def _raw(cls, field, arity, terms):
         """A polynomial on a clean term dict, unchecked: for results whose
         shape holds by construction."""
         out = object.__new__(cls)
-        out.field, out.arity, out.cap, out.terms = field, arity, cap, terms
+        out.field, out.arity, out.terms = field, arity, terms
         return out
 
     def _like(self, terms):
         """A polynomial in the same ring on a clean term dict, unchecked."""
-        return FieldPolynomial._raw(self.field, self.arity, terms, self.cap)
+        return FieldPolynomial._raw(self.field, self.arity, terms)
 
     @classmethod
-    def variable(cls, field, arity, i, cap=None):
-        return cls.monomial(field, tuple(1 if j == i - 1 else 0 for j in range(arity)), cap=cap)
+    def variable(cls, field, arity, i):
+        return cls.monomial(field, tuple(1 if j == i - 1 else 0 for j in range(arity)))
 
     @classmethod
-    def monomial(cls, field, exponents, coeff=None, cap=None):
+    def monomial(cls, field, exponents):
         exponents = tuple(exponents)
-        c = field.one_raw if coeff is None else coeff
-        return cls(field, len(exponents), {exponents: c}, cap)
+        return cls(field, len(exponents), {exponents: field.one_raw})
 
     def _check(self, other):
         if self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
-        if self.arity != other.arity or self.cap != other.cap:
-            raise TruncationMismatch(
-                "polynomials in different variable counts or truncations"
-            )
+        if self.arity != other.arity:
+            raise TruncationMismatch("polynomials in different variable counts")
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldPolynomial)
             and self.field == other.field
             and self.arity == other.arity
-            and self.cap == other.cap
             and self.terms == other.terms
         )
 
     def __hash__(self):
         # the field is left out: it costs more to hash than all the rest,
         # and equal polynomials share it anyway
-        return hash((self.arity, self.cap, frozenset(self.terms.items())))
+        return hash((self.arity, frozenset(self.terms.items())))
 
     def __add__(self, other):
         self._check(other)
@@ -193,16 +180,13 @@ class FieldPolynomial:
 
     def __mul__(self, other):
         self._check(other)
-        cap, times = self.cap, self.field.mul
-
-        def products():
-            for e1, c1 in self.terms.items():
-                room = None if cap is None else cap - sum(e1)
-                for e2, c2 in other.terms.items():
-                    if room is None or sum(e2) <= room:
-                        yield tuple(map(add, e1, e2)), times(c1, c2)
-
-        return self._like(_collect(self.field, products()))
+        times = self.field.mul
+        products = (
+            (tuple(map(add, e1, e2)), times(c1, c2))
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return self._like(_collect(self.field, products))
 
     def __pow__(self, e: int):
         out = self._like({(0,) * self.arity: self.field.one_raw})
@@ -210,8 +194,9 @@ class FieldPolynomial:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def scale(self, c):
@@ -221,9 +206,6 @@ class FieldPolynomial:
         times = self.field.mul
         return self._like({e: times(v, c) for e, v in self.terms.items()})
 
-    def max_total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def is_zero(self):
         return not self.terms
 
@@ -231,8 +213,7 @@ class FieldPolynomial:
         return _format_terms(self.field, self.terms)
 
     def __repr__(self):
-        cap = "" if self.cap is None else f", cap={self.cap}"
-        return f"{type(self).__name__}({self.field}, {self}{cap})"
+        return f"{type(self).__name__}({self.field}, {self})"
 
     @classmethod
     def parse(cls, field, arity, s):
@@ -240,17 +221,15 @@ class FieldPolynomial:
 
 
 class QPolynomial(FieldPolynomial):
-    """Element of the q-power operad: a FieldPolynomial in arity >= 1, with
-    no cap, in which every variable occurs in every monomial with exponent
-    q^e for some e >= 0."""
+    """Element of the q-power operad: a FieldPolynomial in arity >= 1 in
+    which every variable occurs in every monomial with exponent q^e for some
+    e >= 0."""
 
     __slots__ = ()
 
-    def __init__(self, field: FiniteField, arity: int, terms=None, cap=None):
+    def __init__(self, field: FiniteField, arity: int, terms=None):
         if arity < 1:
             raise ValueError("the q-power operad is empty below arity one")
-        if cap is not None:
-            raise ValueError("the q-power operad has no degree cap")
         super().__init__(field, arity, terms)
         for exp in self.terms:
             if not syntactic_q_power_criterion(exp, field.q):
@@ -471,11 +450,11 @@ def rewrite_once(tree):
     return results
 
 
-# -- the linearity test, in a degree-capped polynomial ring -------------------
+# -- the linearity test, in a free commutative algebra ------------------------
 
 def eval_poly(f, args) -> FieldPolynomial:
-    """Evaluate a polynomial by substituting elements of one (usually
-    degree-capped) polynomial ring for its variables."""
+    """Evaluate a polynomial by substituting elements of one polynomial ring
+    for its variables."""
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} arguments")
     if not args:
@@ -484,7 +463,7 @@ def eval_poly(f, args) -> FieldPolynomial:
     for a in args:
         first._check(a)
     if f.field != first.field:
-        raise TruncationMismatch("polynomial and arguments over different fields")
+        raise FieldMismatch("polynomial and arguments over different fields")
     acc = first._like({})
     for exp, coeff in f.terms.items():
         term = first ** 0  # the constant 1 of the ring
@@ -504,22 +483,16 @@ class MultilinearityVerdict:
         return self.multilinear
 
 
-def multilinearity_check(f, cap: int | None = None) -> MultilinearityVerdict:
+def multilinearity_check(f) -> MultilinearityVerdict:
     """Decide whether Ev_f is linear in each slot, testing in the free
-    commutative algebra on n+1 generators capped at total degree `cap`.
+    commutative algebra on n+1 generators.
 
     Additivity in slot i substitutes e_i + e_{n+1}; homogeneity scales slot i
-    by every field element.  The cap must be at least n * deg(f) so that no
-    failure can hide above the truncation degree.
+    by every field element.
     """
     n = f.arity
-    needed = n * f.max_total_degree()
-    if cap is None:
-        cap = needed
-    if cap < needed:
-        raise CapTooSmall(f"cap {cap} below n*deg(f) = {needed}")
     field = f.field
-    gens = [FieldPolynomial.variable(field, n + 1, i, cap) for i in range(1, n + 2)]
+    gens = [FieldPolynomial.variable(field, n + 1, i) for i in range(1, n + 2)]
     base_args = gens[:n]
     extra = gens[n]
     base_val = eval_poly(f, base_args)

@@ -165,8 +165,7 @@ ARGVS = st.one_of(
     _cmd("qpoly", "compose", q=QS, field=FIELDS, f=POLYS, g=POLYS, arity1=SMALL,
          arity2=SMALL, at=SLOTS),
     _cmd("qpoly", "classify", q=QS, field=FIELDS, arity=SMALL, maxdeg=st.integers(-1, 4)),
-    _cmd("qpoly", "check", q=QS, field=FIELDS, f=POLYS, arity=SMALL,
-         cap=_maybe(st.integers(-1, 8))),
+    _cmd("qpoly", "check", q=QS, field=FIELDS, f=POLYS, arity=SMALL),
     st.sampled_from([2, 3, 4]).flatmap(  # --exp-bound up to q^2
         lambda q: _cmd("qpoly", "generate", q=st.just(q), arity=SMALL,
                        exp_bound=st.integers(-1, q * q))
@@ -342,6 +341,44 @@ def test_field_spec_parsing():
     assert F.q == 2
     dom = cli.parse_ring("zmod:6")
     assert dom.m == 6
+
+
+DEFAULT_FIELD_POLYS = {
+    (2, 1): [0, 1], (3, 1): [0, 1], (5, 1): [0, 1],
+    (2, 2): [1, 1, 1], (2, 3): [1, 1, 0, 1], (2, 4): [1, 1, 0, 0, 1], (3, 2): [1, 0, 1],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([*DEFAULT_FIELD_POLYS, (5, 2), (7, 2)]).flatmap(
+        lambda pk: st.tuples(
+            st.just(pk), st.lists(st.integers(0, pk[0] - 1), min_size=pk[1], max_size=pk[1])
+        )
+    )
+)
+def test_field_specs_round_trip_through_json(case):
+    """"p^k" names the field of the shipped polynomial, and "p^k:c0,...,1"
+    the field of any monic polynomial that sympy finds irreducible."""
+    import sympy
+
+    (p, k), low = case
+    default = DEFAULT_FIELD_POLYS.get((p, k))
+    if default is None:
+        with pytest.raises(ValueError):
+            cli.parse_field(f"{p}^{k}")
+    else:
+        want = {"p": p, "k": k, "poly": default}
+        specs = [f"{p}^{k}", f"{p}^{k}:" + ",".join(map(str, default))] + [str(p)] * (k == 1)
+        for spec in specs:
+            assert cli.parse_field(spec).to_json_dict() == want, spec
+    coeffs = low + [1]
+    spec = f"{p}^{k}:" + ",".join(map(str, coeffs))
+    if sympy.Poly(coeffs[::-1], sympy.Symbol("x"), modulus=p).is_irreducible:
+        assert cli.parse_field(spec).to_json_dict() == {"p": p, "k": k, "poly": coeffs}
+    else:
+        with pytest.raises(ValueError):
+            cli.parse_field(spec)
 
 
 def test_all_envelope_schema(capsys, monkeypatch):

@@ -17,7 +17,7 @@ import pytest
 
 import endop
 from endop import linalg
-from endop.errors import BoundExceeded, NotInvertible, UnsupportedDomain
+from endop.errors import BoundExceeded, DomainMismatch, NotInvertible, UnsupportedDomain
 from endop.linalg import (
     ExactMatrix,
     HomBasis,
@@ -165,6 +165,14 @@ def test_hom_basis_rejects_dependent_matrices():
         HomBasis(2, 2, (m, m), F2)
 
 
+def test_empty_hom_basis_spans_the_zero_matrix():
+    assert HomBasis(2, 2, (), F2).span_elements() == [ExactMatrix.zeros(F2, 2, 2)]
+    with pytest.raises(TypeError):
+        HomBasis(2, 2, ())  # the domain is required
+    with pytest.raises(DomainMismatch):
+        HomBasis(2, 2, (ExactMatrix.identity(F3, 2),), F2)
+
+
 def test_equivariant_identity_generator_is_everything():
     basis = equivariant_homs([ExactMatrix.identity(QQ, 2)], 2)
     assert basis.dimension == 16
@@ -179,7 +187,7 @@ def test_rational_commutant_is_group_algebra_dimension():
     dim, stable, basis = schur_weyl_dimension(2, 2, count=8, seed=0)
     assert dim == 2 and stable
     # d above n still gives the group-algebra dimension
-    gens = random_invertible_generators(QQ, 3, 8, seed=0)
+    gens = random_invertible_generators(3, 8, seed=0)
     assert equivariant_homs(gens, 2).dimension == 2
 
 
@@ -187,7 +195,7 @@ def test_permutation_operators_commute_with_any_tensor_power():
     # exact residual zero, for every d, n <= 3 and an arbitrary generator set
     for d in (2, 3):
         for n in (2, 3):
-            gens = random_invertible_generators(QQ, d, 3, seed=d + n)
+            gens = random_invertible_generators(d, 3, seed=d + n)
             for sigma in all_perms(n):
                 P = permutation_operator(QQ, d, sigma)
                 for g in gens:
@@ -196,7 +204,7 @@ def test_permutation_operators_commute_with_any_tensor_power():
 
 
 def test_commutant_monotone_under_more_generators():
-    gens = random_invertible_generators(QQ, 2, 6, seed=3)
+    gens = random_invertible_generators(2, 6, seed=3)
     dims = [equivariant_homs(gens[: k + 1], 2).dimension for k in range(len(gens))]
     assert all(d1 >= d2 for d1, d2 in zip(dims, dims[1:]))
 
@@ -258,7 +266,7 @@ def test_span_basis_is_the_solver_form():
 def _eliminated(d, n, count, seed):
     """(dimension, stable, flattened basis) of the commutant by elimination
     over Q of the same generators' conditions, without the certificate."""
-    doubled = random_invertible_generators(QQ, d, 2 * count, seed)
+    doubled = random_invertible_generators(d, 2 * count, seed)
     size = d ** n
     cells = [(0, i, j) for i in range(size) for j in range(size)]
     conditions = [(0, 0, B, B) for B in (kron_power(g, n) for g in doubled)]
@@ -295,14 +303,13 @@ def test_certified_commutant_matches_elimination_over_q(d, n, monkeypatch):
 def test_certificate_falls_back_when_the_bounds_differ():
     # the diagonal generator alone: diag(4, 6, 6, 9) commutes with a
     # 1 + 4 + 1 dimensional space, against the S_n image's 2
-    gens = [kron_power(g, 2) for g in random_invertible_generators(QQ, 2, 2, seed=0)]
+    gens = [kron_power(g, 2) for g in random_invertible_generators(2, 2, seed=0)]
     cells = [(0, i, j) for i in range(4) for j in range(4)]
     assert _certified_commutant(2, 2, gens, 1, cells) is None
     assert schur_weyl_dimension(2, 2, count=1)[:2] == (6, False)
     # a non-integer entry has no reduction mod p
     half = kron_power(ExactMatrix(QQ, [[Fraction(1, 2)]]), 2)
     assert _certified_commutant(1, 2, [half], 1, [(0, 0, 0)]) is None
-    assert schur_weyl_dimension(2, 2, domain=finite_field(5))[0] == 2
 
 
 def _condition_rows(B):
@@ -326,7 +333,7 @@ def test_schur_weyl_dimension_sympy_rank_oracle(d, n):
     from sympy.polys.matrices import DomainMatrix
 
     rows = []
-    for g in random_invertible_generators(QQ, d, 8, seed=0):
+    for g in random_invertible_generators(d, 8, seed=0):
         rows += _condition_rows([[int(x) for x in row] for row in kron_power(g, n).data])
     rank = DomainMatrix.from_list(rows, ZZ).to_sparse().convert_to(sympy_QQ).rank()
     assert schur_weyl_dimension(d, n)[0] == d ** (2 * n) - rank
@@ -391,33 +398,20 @@ def test_intertwiner_accepts_singular_conditions():
 
 
 def test_diagonal_prime_matrix():
-    D = diagonal_prime_matrix(QQ, 3)
+    D = diagonal_prime_matrix(3)
     assert [D.data[i][i] for i in range(3)] == [2, 3, 5]
     assert matrix_rank(D) == 3
-    # over F_3 the prime 3 vanishes and is skipped: diag(2, 5, 7) = diag(2, 2, 1)
-    D3 = diagonal_prime_matrix(F3, 3)
-    assert [F3.format_value(D3.data[i][i]) for i in range(3)] == ["2", "2", "1"]
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
-def test_generators_are_invertible_over_finite_fields(q):
-    F = finite_field(q)
-    for d in range(1, 5):
-        for seed in range(3):
-            gens = random_invertible_generators(F, d, 3, seed)
-            assert [matrix_rank(g) for g in gens] == [d] * 3, (d, seed)
 
 
 def test_rational_generators_are_pinned():
-    """Skipping vanishing primes changes nothing over Q."""
 
     def ints(gens):
         return [[[int(x) for x in row] for row in g.data] for g in gens]
 
-    assert ints(random_invertible_generators(QQ, 2, 4, seed=0)) == [
+    assert ints(random_invertible_generators(2, 4, seed=0)) == [
         [[2, 0], [0, 3]], [[-3, -1], [1, 0]], [[0, 3], [3, -1]], [[0, -1], [1, -2]],
     ]
-    assert ints(random_invertible_generators(QQ, 3, 3, seed=2)) == [
+    assert ints(random_invertible_generators(3, 3, seed=2)) == [
         [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
         [[3, 3, -3], [-3, -3, -1], [3, -2, 2]],
         [[3, 2, 3], [-1, -1, 1], [-2, 1, -3]],

@@ -149,15 +149,9 @@ def test_central_set_monotone_in_the_morphism_set():
     all_endos = [tuple(f) for f in product(range(2), repeat=2)]
     full = {s.values for s in central_set_bruteforce(2).survivors}
     for k in range(len(all_endos) + 1):
-        partial = central_set_bruteforce(2, endomaps=all_endos[:k])
-        assert full <= {s.values for s in partial.survivors}
-        assert [s.values for s in partial.survivors] == natural_tables(all_endos[:k], 2, 2)
-
-
-@pytest.mark.parametrize("endomap", [(-1, 0), (1, 0, 1), (0, 5)])
-def test_central_set_endomaps_are_validated(endomap):
-    with pytest.raises(ValueError):
-        central_set_bruteforce(2, endomaps=[(0, 1), endomap])
+        partial = nat._equivariant_tables(all_endos[:k], 2, 2)
+        assert full <= set(partial)
+        assert partial == natural_tables(all_endos[:k], 2, 2)
 
 
 def test_survivor_composition_matches_projection_operad():

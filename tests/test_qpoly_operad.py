@@ -1,14 +1,15 @@
 """The q-power polynomial operad: substitution closure, the generator
-presentation, evaluation in degree-capped polynomial rings, and the
-linearity classification."""
+presentation, evaluation in polynomial rings, and the linearity
+classification."""
 
 import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endop.errors import (
-    CapTooSmall,
     FieldMismatch,
     MalformedTree,
     PositionOutOfRange,
@@ -59,8 +60,6 @@ def test_qpolynomial_invariant_enforced():
         QPolynomial.monomial(F4, (2, 1))  # 2 = p is not a power of q = 4
     with pytest.raises(ValueError):
         QPolynomial(F2, 0, {(): 1})  # the operad starts in arity one
-    with pytest.raises(ValueError):
-        QPolynomial(F2, 1, {(1,): 1}, cap=2)  # and has no truncation
 
 
 def test_qpolynomial_is_a_field_polynomial():
@@ -68,7 +67,6 @@ def test_qpolynomial_is_a_field_polynomial():
     p = FieldPolynomial(F4, 2, f.terms)
     assert isinstance(f, FieldPolynomial)
     assert f == p and p == f and hash(f) == hash(p) and str(f) == str(p)
-    assert f != FieldPolynomial(F4, 2, f.terms, cap=10)
     assert type(f * f) is FieldPolynomial  # products leave the q-power shape
 
 
@@ -175,8 +173,8 @@ def test_monomial_tree_witnesses():
 
 
 def test_eval_poly_examples():
-    e1 = FieldPolynomial.variable(F2, 2, 1, cap=2)
-    e2 = FieldPolynomial.variable(F2, 2, 2, cap=2)
+    e1 = FieldPolynomial.variable(F2, 2, 1)
+    e2 = FieldPolynomial.variable(F2, 2, 2)
     f = FieldPolynomial.variable(F2, 1, 1)
     assert eval_poly(f, [e1]) == e1
     prod_poly = FieldPolynomial.monomial(F2, (1, 1))
@@ -186,12 +184,17 @@ def test_eval_poly_examples():
     assert eval_poly(sq, [e1 + e2]) == e1 * e1 + e2 * e2
 
 
-def test_truncation_drops_high_degrees():
-    e1 = FieldPolynomial.variable(F2, 1, 1, cap=2)
-    cube = e1 * e1 * e1
-    assert cube == FieldPolynomial(F2, 1, cap=2)
-    with pytest.raises(TruncationMismatch):
-        e1 + FieldPolynomial.variable(F2, 1, 1, cap=3)
+def test_power_is_the_repeated_product():
+    f = FieldPolynomial.parse(F3, 2, "1 + X1 + 2*X2^2")
+    acc = FieldPolynomial.parse(F3, 2, "1")
+    for e in range(9):
+        assert f ** e == acc, e
+        acc = acc * f
+
+
+def test_eval_poly_rejects_arguments_over_another_field():
+    with pytest.raises(FieldMismatch):
+        eval_poly(FieldPolynomial.variable(F2, 1, 1), [FieldPolynomial.variable(F3, 1, 1)])
 
 
 def test_multilinearity_verdicts():
@@ -202,8 +205,6 @@ def test_multilinearity_verdicts():
     assert not v.multilinear and "homogeneity" in v.witness
     v = multilinearity_check(FieldPolynomial.monomial(F2, (3,)))
     assert not v.multilinear and "additivity" in v.witness
-    with pytest.raises(CapTooSmall):
-        multilinearity_check(FieldPolynomial.monomial(F2, (3,)), cap=1)
 
 
 def test_characterize_multilinear_frozen_sets():
@@ -225,8 +226,7 @@ def test_frobenius_compatibility_of_evaluation():
     rng = random.Random(5)
     for F in (F2, F3):
         q = F.q
-        cap = 2 * q * q
-        gens = [FieldPolynomial.variable(F, 2, i, cap) for i in (1, 2)]
+        gens = [FieldPolynomial.variable(F, 2, i) for i in (1, 2)]
         for _ in range(6):
             exp = (rng.choice((1, q)), rng.choice((1, q)))
             f = FieldPolynomial.monomial(F, exp)
@@ -247,6 +247,34 @@ def test_print_parse_round_trip():
         assert QPolynomial.parse(f.field, f.arity, str(f)) == f
     assert str(FieldPolynomial(F2, 1, {})) == "0"
     assert FieldPolynomial.parse(F2, 1, "0").is_zero()
+
+
+ROUND_TRIP_FIELDS = [finite_field(q) for q in (2, 3, 4, 8, 9, 16)]
+
+
+@st.composite
+def polynomials(draw, cls):
+    """A FieldPolynomial with exponents 0..20, or a QPolynomial with
+    exponents q^0..q^3, over one of the round-trip fields; the empty term
+    dict and zero coefficients give the zero polynomial."""
+    F = draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    arity = draw(st.integers(1, 3))
+    if cls is QPolynomial:
+        exponent = st.integers(0, 3).map(lambda h: F.q ** h)
+    else:
+        exponent = st.integers(0, 20)
+    terms = draw(
+        st.dictionaries(st.tuples(*[exponent] * arity), st.sampled_from(F.elements()), max_size=5)
+    )
+    return cls(F, arity, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([FieldPolynomial, QPolynomial]).flatmap(polynomials))
+def test_print_parse_round_trip_on_random_polynomials(f):
+    back = type(f).parse(f.field, f.arity, str(f))
+    assert type(back) is type(f)
+    assert back == f, str(f)
 
 
 def _random_qpoly(rng, F, arity):
@@ -305,26 +333,6 @@ def test_unchecked_results_pass_the_validating_constructor():
                 assert type(h) is QPolynomial
                 assert QPolynomial(h.field, h.arity, h.terms) == h
         assert multi_term >= 5
-
-
-def test_capped_product_drops_terms_above_the_cap():
-    rng = random.Random(3)
-    for F in (F2, F3, F4):
-        for _ in range(30):
-            arity, cap = rng.randint(1, 3), rng.randint(0, 6)
-            polys = [
-                {
-                    tuple(rng.randrange(4) for _ in range(arity)): rng.choice(F.elements())
-                    for _ in range(rng.randint(0, 4))
-                }
-                for _ in range(2)
-            ]
-            a, b = (FieldPolynomial(F, arity, t) for t in polys)
-            ac, bc = (FieldPolynomial(F, arity, t, cap) for t in polys)
-            assert ac.terms == {e: c for e, c in a.terms.items() if sum(e) <= cap}
-            assert (ac * bc).terms == {e: c for e, c in (a * b).terms.items() if sum(e) <= cap}
-            assert (ac ** 3).terms == {e: c for e, c in (a ** 3).terms.items() if sum(e) <= cap}
-            assert (ac + bc).cap == (ac * bc).cap == cap
 
 
 def test_coefficients_are_raw_field_values():
