@@ -105,8 +105,8 @@ class ExactMatrix:
             # the row's combination of the rows of other
             acc = [zero] * other.ncols
             for a, brow in zip(row, other.data):
-                if a != zero:
-                    acc = [x if b == zero else add(x, mul(a, b)) for x, b in zip(acc, brow)]
+                if a:
+                    acc = [add(x, mul(a, b)) if b else x for x, b in zip(acc, brow)]
             out.append(tuple(acc))
         return ExactMatrix._canonical(dom, tuple(out), other.ncols)
 
@@ -130,8 +130,7 @@ class ExactMatrix:
         return ExactMatrix._canonical(self.domain, tuple(out), self.ncols * other.ncols)
 
     def is_zero(self):
-        zero = self.domain.zero_raw
-        return all(a == zero for row in self.data for a in row)
+        return not any(map(any, self.data))
 
     def to_json(self):
         fmt = self.domain.format_value
@@ -165,31 +164,27 @@ def _rref(rows, domain, ncols):
     Deterministic: the pivot for each column is the first not-yet-used row
     with a nonzero entry, scanning columns left to right.
     """
-    zero = domain.zero_raw
-    inv, mul, sub = domain.inv, domain.mul, domain.sub
+    one, inv, mul, sub = domain.one_raw, domain.inv, domain.mul, domain.sub
     pivots = []
     r = 0
     for c in range(ncols):
         pivot = None
         for i in range(r, len(rows)):
-            if rows[i][c] != zero:
+            if rows[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
-        if pv != domain.one_raw:
+        if pv != one:
             piv_inv = inv(pv)
-            rows[r] = [x if x == zero else mul(piv_inv, x) for x in rows[r]]
+            rows[r] = [mul(piv_inv, x) if x else x for x in rows[r]]
         prow = rows[r]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != zero:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [
-                    x if y == zero else sub(x, mul(f, y))
-                    for x, y in zip(rows[i], prow)
-                ]
+                rows[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
     return pivots
@@ -377,10 +372,10 @@ def _restricted_condition_rows(generators, src, dst, A, B, dom):
     zero, add, sub, mul = dom.zero_raw, dom.add, dom.sub, dom.mul
     width, k = B.ncols, len(generators)
     a_cols = [
-        [(i, x) for i, x in enumerate(col) if x != zero]
+        [(i, x) for i, x in enumerate(col) if x]
         for col in (zip(*A.data) if A.data else [()] * A.ncols)
     ]
-    b_rows = [[(j, x) for j, x in enumerate(row) if x != zero] for row in B.data]
+    b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in B.data]
     rows = defaultdict(lambda: [zero] * k)
     for t, gen in enumerate(generators):
         for (o, a, b), v in gen.items():
@@ -392,7 +387,7 @@ def _restricted_condition_rows(generators, src, dst, A, B, dom):
                 for j, x in b_rows[b]:
                     row = rows[a * width + j]
                     row[t] = sub(row[t], mul(v, x))
-    return [row for row in rows.values() if any(x != zero for x in row)]
+    return [row for row in rows.values() if any(row)]
 
 
 def _intersect_conditions(conditions, cells, dom, generators=None):
@@ -417,14 +412,14 @@ def _intersect_conditions(conditions, cells, dom, generators=None):
         for coeffs in kernel:
             acc = {}
             for c, gen in zip(coeffs, generators):
-                if c == zero:
+                if not c:
                     continue
                 for cell, v in gen.items():
                     s = add(acc.get(cell, zero), mul(c, v))
-                    if s == zero:
-                        acc.pop(cell, None)
-                    else:
+                    if s:
                         acc[cell] = s
+                    else:
+                        acc.pop(cell, None)
             if acc:
                 combined.append(acc)
         generators = combined

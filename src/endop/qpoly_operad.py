@@ -54,8 +54,7 @@ def _collect(field, pairs):
     for exp, c in pairs:
         prev = out.get(exp)
         out[exp] = c if prev is None else plus(prev, c)
-    zero = field.zero_raw
-    return {exp: c for exp, c in out.items() if c != zero}
+    return {exp: c for exp, c in out.items() if c}
 
 
 def _format_terms(field, terms):
@@ -130,7 +129,7 @@ class FieldPolynomial:
             if len(exp) != arity or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp}")
             coeff = _coerce(field, coeff)
-            if coeff != field.zero_raw:
+            if coeff:
                 clean[exp] = coeff
         self.field, self.arity, self.terms = field, arity, clean
 
@@ -156,7 +155,7 @@ class FieldPolynomial:
         return cls(field, len(exponents), {exponents: field.one_raw})
 
     def _check(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
         if self.arity != other.arity:
             raise TruncationMismatch("polynomials in different variable counts")
@@ -164,7 +163,7 @@ class FieldPolynomial:
     def __eq__(self, other):
         return (
             isinstance(other, FieldPolynomial)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.arity == other.arity
             and self.terms == other.terms
         )
@@ -201,7 +200,7 @@ class FieldPolynomial:
 
     def scale(self, c):
         c = _coerce(self.field, c)
-        if c == self.field.zero_raw:
+        if not c:
             return self._like({})
         times = self.field.mul
         return self._like({e: times(v, c) for e, v in self.terms.items()})
@@ -248,7 +247,7 @@ def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
     recombine, and zero coefficients drop out.  Substitution keeps the
     q-power shape, so the result is built unchecked.
     """
-    if f.field != g.field:
+    if f.field is not g.field and f.field != g.field:
         raise FieldMismatch("operands over different fields")
     m, n = f.arity, g.arity
     if not 1 <= i <= m:
@@ -387,67 +386,6 @@ def generated_submonomials(n: int, exp_bound: int, field: FiniteField):
             raise VerificationFailed(f"tree {tree} does not evaluate to {mono}")
         out.append((mono, tree))
     return out
-
-
-def enumerate_trees(n: int, max_internal: int):
-    """All generator trees on leaves 1..n with at most max_internal internal
-    nodes (mu and P_q both count)."""
-
-    def gen(leaves, budget):
-        if len(leaves) == 1:
-            t = TreeLeaf(leaves[0])
-            yield t, 0
-            prev = [(t, 0)]
-            for h in range(1, budget + 1):
-                prev = [(TreePq(s), c + 1) for s, c in prev]
-                yield from prev
-        else:
-            for split in range(1, 1 << (len(leaves) - 1)):
-                left = [x for k, x in enumerate(leaves) if (split >> k) & 1]
-                right = [x for k, x in enumerate(leaves) if not (split >> k) & 1]
-                for lt, lc in gen(left, budget - 1):
-                    for rt, rc in gen(right, budget - 1 - lc):
-                        base = TreeMu(lt, rt)
-                        cost = lc + rc + 1
-                        if cost > budget:
-                            continue
-                        yield base, cost
-                        t, c = base, cost
-                        while c < budget:
-                            t = TreePq(t)
-                            c += 1
-                            yield t, c
-
-    seen = set()
-    for t, _ in gen(list(range(1, n + 1)), max_internal):
-        if t not in seen:
-            seen.add(t)
-            yield t
-
-
-def rewrite_once(tree):
-    """Trees one presentation-relation step away: commutativity and
-    associativity of mu, and mu(P_q x, P_q y) <-> P_q mu(x, y)."""
-    results = []
-    if isinstance(tree, TreeMu):
-        results.append(TreeMu(tree.right, tree.left))
-        if isinstance(tree.left, TreeMu):
-            results.append(TreeMu(tree.left.left, TreeMu(tree.left.right, tree.right)))
-        if isinstance(tree.right, TreeMu):
-            results.append(TreeMu(TreeMu(tree.left, tree.right.left), tree.right.right))
-        if isinstance(tree.left, TreePq) and isinstance(tree.right, TreePq):
-            results.append(TreePq(TreeMu(tree.left.child, tree.right.child)))
-        for sub in rewrite_once(tree.left):
-            results.append(TreeMu(sub, tree.right))
-        for sub in rewrite_once(tree.right):
-            results.append(TreeMu(tree.left, sub))
-    elif isinstance(tree, TreePq):
-        if isinstance(tree.child, TreeMu):
-            left, right = tree.child.left, tree.child.right
-            results.append(TreeMu(TreePq(left), TreePq(right)))
-        for sub in rewrite_once(tree.child):
-            results.append(TreePq(sub))
-    return results
 
 
 # -- the linearity test, in a free commutative algebra ------------------------

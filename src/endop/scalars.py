@@ -1,8 +1,10 @@
 """Exact scalar arithmetic: prime-power fields F_q, rationals, and Z/m.
 
 Every value is immutable and kept in canonical form: rationals reduced with
-positive denominator, F_q elements as coefficient vectors reduced modulo the
-defining polynomial, residues in 0..m-1.  No floating point anywhere.
+positive denominator, residues in 0..m-1, and F_q elements as ints 0..q-1
+whose base-p digits are the coefficients of their reduced polynomial in the
+generator, lowest degree first.  Every domain's zero is falsy.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .errors import DomainMismatch, NotInvertible, UnsupportedDomain
@@ -68,22 +71,6 @@ def _peval(poly, x, p):
     return acc
 
 
-def _pdivides(d, a, p):
-    """Whether monic d divides a over F_p."""
-    r = list(a)
-    dd = len(d) - 1
-    while len(r) - 1 >= dd and _ptrim(r):
-        r = list(_ptrim(r))
-        if len(r) - 1 < dd:
-            break
-        lead = r[-1]
-        shift = len(r) - 1 - dd
-        for i, c in enumerate(d):
-            r[shift + i] = (r[shift + i] - lead * c) % p
-        r = list(_ptrim(r))
-    return not _ptrim(r)
-
-
 def _check_irreducible(poly, p, k):
     """Root/factor search; only supported for degree k <= 4."""
     if k == 1:
@@ -99,10 +86,10 @@ def _check_irreducible(poly, p, k):
         # degree-4 polynomials may factor into two irreducible quadratics
         for b in range(p):
             for c in range(p):
-                quad = _ptrim((c, b, 1))
+                quad = (c, b, 1)
                 if any(_peval(quad, x, p) == 0 for x in range(p)):
                     continue
-                if _pdivides(quad, poly, p):
+                if not _pmod(poly, quad, p):
                     raise ValueError(
                         f"polynomial divisible by irreducible quadratic {quad}"
                     )
@@ -118,10 +105,13 @@ DEFAULT_POLYS = {
 
 
 class Domain:
-    """Common interface of the scalar domains (arithmetic on raw values)."""
+    """Common interface of the scalar domains (arithmetic on raw values).
+    Every raw zero is falsy."""
 
     is_field = False
     is_finite = False
+    zero_raw = 0
+    one_raw = 1
 
     def scalar(self, value) -> "Scalar":
         return Scalar(self, self.coerce(value))
@@ -208,11 +198,6 @@ class IntegersMod(Domain):
         object.__setattr__(self, "is_field", is_prime(self.m))
 
     is_finite = True
-    zero_raw = 0
-
-    @property
-    def one_raw(self):
-        return 1 % self.m
 
     @property
     def size(self):
@@ -257,17 +242,32 @@ class IntegersMod(Domain):
         return f"Z/{self.m}"
 
 
+# Extension fields up to this order multiply through log tables: three lists
+# of q, 2(q - 1) and q entries, about 90 bytes per element.  Larger ones build
+# none and multiply decoded digit vectors with _pmul/_pmod.
+LOG_TABLE_MAX_Q = 1 << 12
+
+
 @dataclass(frozen=True)
 class FiniteField(Domain):
-    """F_q with q = p^k, elements as length-k coefficient vectors over F_p.
+    """F_q with q = p^k.  The defining polynomial is monic of degree k
+    (ascending coefficients) and is checked for irreducibility by exhaustive
+    root/factor search.
 
-    The defining polynomial is monic of degree k (ascending coefficients)
-    and is checked for irreducibility by exhaustive root/factor search.
+    An element is stored as an int in 0..q-1 whose base-p digit i is its
+    coefficient of g^i, g the class of x: 0 and 1 are zero and one, and a
+    prime field holds plain residues.  An extension field of order up to
+    LOG_TABLE_MAX_Q builds log/antilog tables on first use, from powers of
+    a primitive element taken with _pmul/_pmod, and multiplies, inverts and
+    (for odd p, through Zech logarithms) adds by lookup.  In characteristic
+    2 addition is XOR.
     """
 
     p: int
     k: int = 1
     poly: tuple = None
+    # p^k once per field; no part of equality or hash
+    q: int = field(init=False, compare=False, repr=False)
 
     is_field = True
     is_finite = True
@@ -292,70 +292,133 @@ class FiniteField(Domain):
             raise ValueError("defining polynomial must be monic of degree k")
         _check_irreducible(poly, self.p, self.k)
         object.__setattr__(self, "poly", poly)
-
-    @property
-    def q(self):
-        return self.p ** self.k
+        object.__setattr__(self, "q", self.p ** self.k)
 
     @property
     def size(self):
         return self.q
 
-    @property
-    def zero_raw(self):
-        return (0,) * self.k
+    def _digits(self, v):
+        """The coefficient vector of raw value v, ascending."""
+        out = []
+        for _ in range(self.k):
+            v, c = divmod(v, self.p)
+            out.append(c)
+        return out
 
-    @property
-    def one_raw(self):
-        return (1,) + (0,) * (self.k - 1)
+    def _encode(self, vec):
+        """The raw value of a coefficient vector of length at most k."""
+        v = 0
+        for c in reversed(vec):
+            v = v * self.p + c
+        return v
+
+    def _poly_mul(self, a, b):
+        p = self.p
+        return self._encode(_pmod(_pmul(self._digits(a), self._digits(b), p), self.poly, p))
+
+    @cached_property
+    def _tables(self):
+        """(log, antilog, zech) of an extension field of order at most
+        LOG_TABLE_MAX_Q, else None.  antilog[i] = c^i for a primitive c, over
+        two periods so that a sum of two logs indexes it; log[0] is None;
+        zech[i] = log(1 + c^i), None where 1 + c^i = 0, kept for odd p only."""
+        if self.k == 1 or self.q > LOG_TABLE_MAX_Q:
+            return None
+        p, n = self.p, self.q - 1
+        for c in range(2, self.q):
+            antilog = [1]
+            while (x := self._poly_mul(antilog[-1], c)) != 1:
+                antilog.append(x)
+            if len(antilog) == n:
+                break
+        log = [None] * self.q
+        for i, x in enumerate(antilog):
+            log[x] = i
+        # 1 + x adds one to digit 0
+        zech = [log[x - x % p + (x + 1) % p] for x in antilog] if p > 2 else None
+        return log, antilog + antilog, zech
 
     def generator(self) -> "Scalar":
         """The class of x, a root of the defining polynomial (k >= 2)."""
         if self.k == 1:
             raise UnsupportedDomain("prime field has no extension generator")
-        return Scalar(self, (0, 1) + (0,) * (self.k - 2))
+        return Scalar(self, self.p)
 
     def coerce(self, v):
+        """Raw value of v: a Scalar of this field; an int, reduced mod p in a
+        prime field and taken as the raw value 0..q-1 in an extension field;
+        or a coefficient vector, reduced by the defining polynomial."""
+        if isinstance(v, int):
+            if self.k == 1:
+                return v % self.p
+            if 0 <= v < self.q:
+                return v
+            raise DomainMismatch(f"{v} is not a raw value 0..{self.q - 1} of {self}")
         if isinstance(v, Scalar):
             if v.domain != self:
                 raise DomainMismatch(f"{v} does not live in {self}")
             return v.value
-        if isinstance(v, int):
-            return (v % self.p,) + (0,) * (self.k - 1)
         if isinstance(v, (tuple, list)):
-            vec = tuple(c % self.p for c in v)
+            vec = [c % self.p for c in v]
             if len(vec) > self.k:
                 vec = _pmod(vec, self.poly, self.p)
-            return vec + (0,) * (self.k - len(vec))
+            return self._encode(vec)
         raise DomainMismatch(f"cannot coerce {v!r} into {self}")
 
     def add(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        if p == 2:
+            return a ^ b
+        if self.k == 1:
+            return (a + b) % p
+        if not a or not b:
+            return a or b
+        tables = self._tables
+        if tables is None:
+            return self._encode([(x + y) % p for x, y in zip(self._digits(a), self._digits(b))])
+        log, antilog, zech = tables
+        # a + b = a (1 + b/a); a negative index wraps modulo q - 1
+        z = zech[log[b] - log[a]]
+        return 0 if z is None else antilog[log[a] + z]
 
     def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+        if self.p == 2 or not a:
+            return a
+        if self.k == 1:
+            return self.p - a
+        return self.mul(a, self.p - 1)  # the raw value p - 1 is -1
 
     def mul(self, a, b):
-        prod = _pmul(a, b, self.p)
-        red = _pmod(prod, self.poly, self.p)
-        return tuple(red) + (0,) * (self.k - len(red))
+        if not a or not b:
+            return 0
+        if self.k == 1:
+            return a * b % self.p
+        tables = self._tables
+        if tables is None:
+            return self._poly_mul(a, b)
+        log, antilog, _ = tables
+        return antilog[log[a] + log[b]]
 
     def inv(self, a):
-        if all(c == 0 for c in a):
+        if not a:
             raise NotInvertible("0 has no inverse")
-        return self.pow(a, self.q - 2)
+        if self.k == 1:
+            return pow(a, -1, self.p)
+        tables = self._tables
+        if tables is None:
+            return self.pow(a, self.q - 2)
+        log, antilog, _ = tables
+        return antilog[self.q - 1 - log[a]]
 
     def elements(self):
-        return [t for t in product(range(self.p), repeat=self.k)]
+        return [self._encode(t) for t in product(range(self.p), repeat=self.k)]
 
     def format_value(self, v) -> str:
         if self.k == 1:
-            return str(v[0])
+            return str(v)
         terms = []
-        for i in range(self.k - 1, -1, -1):
-            c = v[i]
+        for i, c in reversed(list(enumerate(self._digits(v)))):
             if c == 0:
                 continue
             if i == 0:
@@ -368,10 +431,10 @@ class FiniteField(Domain):
     def parse_value(self, s: str):
         s = s.replace(" ", "")
         if self.k == 1:
-            return (int(s) % self.p,)
+            return int(s) % self.p
         vec = [0] * self.k
         if s == "0":
-            return tuple(vec)
+            return 0
         for term in s.split("+"):
             if "g" not in term:
                 vec[0] = (vec[0] + int(term)) % self.p
@@ -382,14 +445,10 @@ class FiniteField(Domain):
             if deg >= self.k:
                 raise DomainMismatch(f"degree {deg} term out of range for {self}")
             vec[deg] = (vec[deg] + coeff) % self.p
-        return tuple(vec)
+        return self._encode(vec)
 
     def to_json_dict(self):
         return {"p": self.p, "k": self.k, "poly": list(self.poly)}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(d["p"], d["k"], tuple(d["poly"]))
 
     def __str__(self):
         return f"F{self.q}"
@@ -449,7 +508,7 @@ class Scalar:
         return Scalar(self.domain, self.domain.inv(self.value))
 
     def is_zero(self) -> bool:
-        return self.value == self.domain.zero_raw
+        return not self.value
 
     def __bool__(self):
         return not self.is_zero()

@@ -381,6 +381,65 @@ def test_field_specs_round_trip_through_json(case):
             cli.parse_field(spec)
 
 
+def _ring_spec(R):
+    """The spec naming ring R, rebuilt from its str() and to_json_dict()."""
+    name = str(R)
+    if name == "Q":
+        return name
+    if name.startswith("Z/"):
+        return "zmod:" + name[2:]
+    d = R.to_json_dict()
+    return f"{d['p']}^{d['k']}:" + ",".join(map(str, d["poly"]))
+
+
+def _field_specs(p, k):
+    coeffs = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    return st.one_of(
+        st.just(f"{p}^{k}"), coeffs.map(lambda low: f"{p}^{k}:" + ",".join(map(str, low + [1])))
+    )
+
+
+RING_SPECS = st.one_of(
+    st.integers(-3, 10 ** 6).map(lambda m: f"zmod:{m}"),
+    st.sampled_from(["Q", "q", "rational"]),
+    st.tuples(st.sampled_from([2, 3, 5, 7, 257]), st.integers(1, 3)).flatmap(
+        lambda pk: _field_specs(*pk)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RING_SPECS)
+def test_ring_specs_round_trip_through_str_and_json(spec):
+    """parse_ring reads back the spec that str() and to_json_dict() give of
+    every ring it builds; an invalid spec is a usage error."""
+    head, _, rest = spec.partition(":")
+    try:
+        R = cli.parse_ring(spec)
+    except cli.SystemExit2:
+        # only a modulus below 2, a reducible polynomial, or an extension
+        # field without a shipped polynomial
+        if head == "zmod":
+            assert int(rest) < 2
+        else:
+            p, k = map(int, head.split("^"))
+            assert rest or (k > 1 and (p, k) not in DEFAULT_FIELD_POLYS)
+        return
+    again = cli.parse_ring(_ring_spec(R))
+    assert again == R and str(again) == str(R)
+    if head == "zmod":
+        assert str(R) == f"Z/{rest}"
+    elif "^" in head:
+        p, k = map(int, head.split("^"))
+        d = R.to_json_dict()
+        assert str(R) == f"F{p ** k}" and (d["p"], d["k"]) == (p, k)
+        assert again.to_json_dict() == d
+        if rest:
+            assert d["poly"] == [int(c) for c in rest.split(",")]
+    else:
+        assert str(R) == "Q"
+
+
 def test_all_envelope_schema(capsys, monkeypatch):
     # stub the heavy checks; the envelope and summary plumbing is the target
     monkeypatch.setattr(

@@ -98,11 +98,11 @@ def test_kron_square_f2_matches_index_formula():
     for i1, i2, j1, j2 in product(range(2), repeat=4):
         expected = F2.mul(A.data[i1][j1], A.data[i2][j2])
         assert K.data[2 * i1 + i2][2 * j1 + j2] == expected
-    assert [[v[0] for v in row] for row in K.data] == [
-        [1, 1, 1, 1],
-        [0, 1, 0, 1],
-        [0, 0, 1, 1],
-        [0, 0, 0, 1],
+    assert [[F2.format_value(v) for v in row] for row in K.data] == [
+        ["1", "1", "1", "1"],
+        ["0", "1", "0", "1"],
+        ["0", "0", "1", "1"],
+        ["0", "0", "0", "1"],
     ]
 
 
@@ -120,9 +120,9 @@ def test_nullspace_edge_cases():
     assert nullspace(ExactMatrix.identity(QQ, 3)) == []
     basis = nullspace(ExactMatrix.zeros(F2, 3, 3))
     assert len(basis) == 3
-    assert basis[0] == ((1,), (0,), (0,))
+    assert basis[0] == tuple(map(F2.coerce, ((1,), (0,), (0,))))
     m = ExactMatrix(F2, [[1, 1], [1, 1]])
-    assert nullspace(m) == [((1,), (1,))]
+    assert nullspace(m) == [tuple(map(F2.coerce, ((1,), (1,))))]
     with pytest.raises(UnsupportedDomain):
         nullspace(ExactMatrix.zeros(IntegersMod(4), 2, 2))
     assert nullspace(ExactMatrix.zeros(IntegersMod(5), 1, 2)) != []
@@ -215,7 +215,7 @@ def test_gl2_f2_commutant_pinned_and_numpy_oracle():
     basis = equivariant_homs(gl2, 2)
     assert basis.dimension == 3  # pinned regression value; must exceed 2
     # independent oracle: enumerate all 2^16 matrices over F_2 with numpy
-    gens = [np.array([[v[0] for v in row] for row in g.data], dtype=np.int64) for g in gl2]
+    gens = [np.array([[int(F2.format_value(v)) for v in row] for row in g.data], dtype=np.int64) for g in gl2]
     kgens = [np.kron(g, g) % 2 for g in gens]
     count = 0
     for bits in range(1 << 16):

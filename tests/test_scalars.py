@@ -1,7 +1,9 @@
 """Exact scalar arithmetic: exhaustive axioms for the small fields, canonical
 forms, and serialization round trips."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -13,11 +15,15 @@ from endop.scalars import (
     FiniteField,
     IntegersMod,
     Scalar,
+    _pmod,
+    _pmul,
     finite_field,
     is_prime,
 )
+from oracles import field_from_json_dict
 
 SMALL_FIELDS = [finite_field(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+F27 = FiniteField(3, 3, (1, 2, 0, 1))
 
 
 @pytest.mark.parametrize("F", SMALL_FIELDS, ids=str)
@@ -82,7 +88,7 @@ def test_frobenius_fixed_points_are_prime_field():
 def test_f4_generator_square():
     F4 = finite_field(4)
     g = F4.generator()
-    assert (g * g).value == (1, 1)  # g^2 = g + 1 modulo x^2 + x + 1
+    assert (g * g).value == F4.coerce((1, 1))  # g^2 = g + 1 modulo x^2 + x + 1
     assert str(g * g) == "g+1"
     assert g ** 4 == g
     assert F4.zero() ** (4 ** 3) == F4.zero()
@@ -161,13 +167,14 @@ def test_descriptor_json_round_trip():
     F9 = finite_field(9)
     d = F9.to_json_dict()
     assert d == {"p": 3, "k": 2, "poly": [1, 0, 1]}
-    assert FiniteField.from_json_dict(d) == F9
+    assert field_from_json_dict(d) == F9
 
 
-@pytest.mark.parametrize("F", SMALL_FIELDS, ids=str)
+@pytest.mark.parametrize("F", [*SMALL_FIELDS, F27], ids=str)
 def test_format_parse_round_trip(F):
     for a in F.elements():
         assert F.parse_value(F.format_value(a)) == a
+    assert len({F.format_value(a) for a in F.elements()}) == F.q
 
 
 def test_scalar_power_and_coercion():
@@ -176,3 +183,77 @@ def test_scalar_power_and_coercion():
     assert g ** 7 == F8.one()  # multiplicative order divides 7
     assert g ** -1 == g.inverse()
     assert F8.scalar([1, 1, 0, 1]).value == F8.scalar(0).value  # reduce by x^3+x+1
+
+
+# -- the int representation -----------------------------------------------------
+
+TABLE_FIELDS = [finite_field(q) for q in (4, 8, 9, 16)] + [F27]
+
+
+def _vec(F, v):
+    """The coefficient vector of raw value v: base-p digits, lowest first."""
+    return [v // F.p ** i % F.p for i in range(F.k)]
+
+
+def _raw(F, vec):
+    vec = list(vec) + [0] * (F.k - len(vec))
+    return sum(c * F.p ** i for i, c in enumerate(vec))
+
+
+def _defined_mul(F, a, b):
+    return _raw(F, _pmod(_pmul(_vec(F, a), _vec(F, b), F.p), F.poly, F.p))
+
+
+@pytest.mark.parametrize("F", TABLE_FIELDS, ids=str)
+def test_table_arithmetic_matches_polynomial_definition(F):
+    F = FiniteField(F.p, F.k, F.poly)
+    assert "_tables" not in vars(F)  # nothing is built before the first product
+    els = range(F.q)
+    for a in els:
+        assert F.neg(a) == _raw(F, [-c % F.p for c in _vec(F, a)])
+        for b in els:
+            assert F.add(a, b) == _raw(F, [(x + y) % F.p for x, y in zip(_vec(F, a), _vec(F, b))])
+            assert F.mul(a, b) == _defined_mul(F, a, b)
+        if a:
+            assert [b for b in els if _defined_mul(F, a, b) == 1] == [F.inv(a)]
+    assert F._tables is not None
+
+
+def test_elements_keep_coefficient_order():
+    F4, F9 = finite_field(4), finite_field(9)
+    assert [F4.format_value(v) for v in F4.elements()] == ["0", "g", "1", "g+1"]
+    assert [F9.format_value(v) for v in F9.elements()] == [
+        "0", "g", "2g", "1", "g+1", "2g+1", "2", "g+2", "2g+2",
+    ]
+    assert F9.elements() != list(range(9))
+    for F in TABLE_FIELDS:
+        assert sorted(F.elements()) == list(range(F.q))
+        assert [F.coerce(t) for t in product(range(F.p), repeat=F.k)] == F.elements()
+
+
+def test_large_field_computes_without_tables():
+    F = FiniteField(257, 2, (254, 0, 1))  # x^2 - 3: 3 is not a square mod 257
+    rng = random.Random(3)
+    for a in [1, 256, 257, F.q - 1] + [rng.randrange(1, F.q) for _ in range(40)]:
+        b = rng.randrange(F.q)
+        assert F.mul(a, F.inv(a)) == F.one_raw
+        assert F.mul(a, b) == _defined_mul(F, a, b)
+        assert F.add(a, F.neg(a)) == 0
+        assert F.parse_value(F.format_value(a)) == a
+    assert F._tables is None
+    assert str(F.generator() ** 2) == "3"
+
+
+def test_int_coercion_contract():
+    F4, F5 = finite_field(4), finite_field(5)
+    assert [F4.coerce(v) for v in range(4)] == [0, 1, 2, 3]  # ints 0..q-1 are raw values
+    assert F4.scalar(2) == F4.generator()
+    assert [F5.coerce(v) for v in (7, -1, 5)] == [2, 4, 0]  # a prime field reduces mod p
+    for v in (4, -1, 17):
+        with pytest.raises(DomainMismatch):
+            F4.coerce(v)
+    assert F4.scalar((1, 1)) == F4.scalar([1, 1]) == F4.generator() ** 2
+    assert F4.scalar((0, 0, 1)) == F4.generator() ** 2  # reduced by x^2 + x + 1
+    assert F4.coerce(F4.generator()) == 2
+    with pytest.raises(DomainMismatch):
+        F4.coerce(finite_field(2).one())
