@@ -242,8 +242,8 @@ class IntegersMod(Domain):
         return f"Z/{self.m}"
 
 
-# Extension fields up to this order multiply through log tables: three lists
-# of q, 2(q - 1) and q entries, about 90 bytes per element.  Larger ones build
+# Extension fields up to this order multiply through log tables: two lists
+# of q and 2(q - 1) entries, about 80 bytes per element.  Larger ones build
 # none and multiply decoded digit vectors with _pmul/_pmod.
 LOG_TABLE_MAX_Q = 1 << 12
 
@@ -258,9 +258,9 @@ class FiniteField(Domain):
     coefficient of g^i, g the class of x: 0 and 1 are zero and one, and a
     prime field holds plain residues.  An extension field of order up to
     LOG_TABLE_MAX_Q builds log/antilog tables on first use, from powers of
-    a primitive element taken with _pmul/_pmod, and multiplies, inverts and
-    (for odd p, through Zech logarithms) adds by lookup.  In characteristic
-    2 addition is XOR.
+    a primitive element taken with _pmul/_pmod, and multiplies and inverts
+    by lookup.  Addition is XOR in characteristic 2 and digit-wise mod p
+    otherwise.
     """
 
     p: int
@@ -319,13 +319,12 @@ class FiniteField(Domain):
 
     @cached_property
     def _tables(self):
-        """(log, antilog, zech) of an extension field of order at most
+        """(log, antilog) of an extension field of order at most
         LOG_TABLE_MAX_Q, else None.  antilog[i] = c^i for a primitive c, over
-        two periods so that a sum of two logs indexes it; log[0] is None;
-        zech[i] = log(1 + c^i), None where 1 + c^i = 0, kept for odd p only."""
+        two periods so that a sum of two logs indexes it; log[0] is None."""
         if self.k == 1 or self.q > LOG_TABLE_MAX_Q:
             return None
-        p, n = self.p, self.q - 1
+        n = self.q - 1
         for c in range(2, self.q):
             antilog = [1]
             while (x := self._poly_mul(antilog[-1], c)) != 1:
@@ -335,9 +334,7 @@ class FiniteField(Domain):
         log = [None] * self.q
         for i, x in enumerate(antilog):
             log[x] = i
-        # 1 + x adds one to digit 0
-        zech = [log[x - x % p + (x + 1) % p] for x in antilog] if p > 2 else None
-        return log, antilog + antilog, zech
+        return log, antilog + antilog
 
     def generator(self) -> "Scalar":
         """The class of x, a root of the defining polynomial (k >= 2)."""
@@ -374,20 +371,14 @@ class FiniteField(Domain):
             return (a + b) % p
         if not a or not b:
             return a or b
-        tables = self._tables
-        if tables is None:
-            return self._encode([(x + y) % p for x, y in zip(self._digits(a), self._digits(b))])
-        log, antilog, zech = tables
-        # a + b = a (1 + b/a); a negative index wraps modulo q - 1
-        z = zech[log[b] - log[a]]
-        return 0 if z is None else antilog[log[a] + z]
+        return self._encode([(x + y) % p for x, y in zip(self._digits(a), self._digits(b))])
 
     def neg(self, a):
         if self.p == 2 or not a:
             return a
         if self.k == 1:
             return self.p - a
-        return self.mul(a, self.p - 1)  # the raw value p - 1 is -1
+        return self._encode([-c % self.p for c in self._digits(a)])
 
     def mul(self, a, b):
         if not a or not b:
@@ -397,7 +388,7 @@ class FiniteField(Domain):
         tables = self._tables
         if tables is None:
             return self._poly_mul(a, b)
-        log, antilog, _ = tables
+        log, antilog = tables
         return antilog[log[a] + log[b]]
 
     def inv(self, a):
@@ -408,7 +399,7 @@ class FiniteField(Domain):
         tables = self._tables
         if tables is None:
             return self.pow(a, self.q - 2)
-        log, antilog, _ = tables
+        log, antilog = tables
         return antilog[self.q - 1 - log[a]]
 
     def elements(self):
