@@ -50,7 +50,6 @@ from .operad_core import (
     PermElement,
     check_algebra_action,
     check_operad_axioms,
-    compose_at,
     perm_compose,
     perm_operad,
     trivial_operad,

@@ -19,6 +19,9 @@ from .errors import VerificationFailed
 from .perms import all_perms, invert_perm
 from .scalars import QQ, Domain, IntegersMod
 
+# the most candidates an exhaustive driver enumerates, or solutions it lists
+CANDIDATE_CAP = 1 << 20
+
 
 class ExactMatrix:
     """Immutable dense matrix over one scalar domain.
@@ -114,10 +117,6 @@ class ExactMatrix:
         c = self.domain.coerce(c)
         mul = self.domain.mul
         return ExactMatrix(self.domain, [[mul(c, a) for a in row] for row in self.data], self.ncols)
-
-    def transpose(self):
-        cols = list(zip(*self.data)) if self.data else [()] * self.ncols
-        return ExactMatrix(self.domain, cols, self.nrows)
 
     def kron(self, other):
         """Kronecker product; leftmost factor most significant in the indices."""
@@ -550,18 +549,21 @@ def random_invertible_generators(d: int, count: int, seed: int = 0):
     return gens
 
 
+def all_square_matrices(domain, d: int):
+    """Every d x d matrix over a finite domain, in lexicographic order."""
+    els = domain.elements()
+    for flat in product(els, repeat=d * d):
+        yield ExactMatrix(domain, [flat[i * d : (i + 1) * d] for i in range(d)])
+
+
 def all_invertible_matrices(domain, d: int):
-    """Every element of GL_d over a finite domain (tiny sizes only)."""
+    """Every element of GL_d over a finite domain, from at most CANDIDATE_CAP
+    candidate matrices."""
     if d < 0:
         raise ValueError(f"dimension {d} must be non-negative")
-    els = domain.elements()
-    out = []
-    for flat in product(els, repeat=d * d):
-        rows = [flat[i * d : (i + 1) * d] for i in range(d)]
-        m = ExactMatrix(domain, rows)
-        if matrix_rank(m) == d:
-            out.append(m)
-    return out
+    if domain.size ** (d * d) > CANDIDATE_CAP:
+        raise BoundExceeded(f"cannot enumerate {domain.size}^{d * d} candidate matrices")
+    return [m for m in all_square_matrices(domain, d) if matrix_rank(m) == d]
 
 
 def _certified_commutant(d, n, powers, count, cells):

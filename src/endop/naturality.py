@@ -25,15 +25,16 @@ from .errors import (
     VerificationFailed,
 )
 from .linalg import (
+    CANDIDATE_CAP,
     ExactMatrix,
     HomBasis,
+    all_square_matrices,
     kron_power,
     module_elements,
     solution_generators,
 )
 from .word_operad import group_eval, word_enumerate
 
-CANDIDATE_CAP = 1 << 20
 HOM_ENUMERATION_CAP = 4096
 SAMPLE_VERIFICATIONS = 1000
 
@@ -373,12 +374,6 @@ def central_set_determined(n: int) -> NaturalityReport:
 
 # -- the central operad of R-modules -----------------------------------------
 
-def _all_square_matrices(domain, r):
-    els = domain.elements()
-    for flat in product(els, repeat=r * r):
-        yield ExactMatrix(domain, [flat[i * r : (i + 1) * r] for i in range(r)])
-
-
 def _module_generator_family(domain, r):
     """Elementary matrices, the idempotents killing one coordinate, and all
     scalar matrices."""
@@ -478,7 +473,7 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
     def morphisms():
         # generated afresh for each pass, so that no list of them is kept
         if complete:
-            yield from ((0, 0, f) for f in _all_square_matrices(domain, r))
+            yield from ((0, 0, f) for f in all_square_matrices(domain, r))
             return
         yield from ((0, 0, f) for f in family)
         rng, els = random.Random(0), domain.elements()

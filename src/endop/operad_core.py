@@ -3,9 +3,10 @@ projection (Perm) and one-object scalar operads.
 
 An operad here is a family of elements graded by arity with partial
 compositions o_i, a symmetric-group action relabelling inputs, and a unit in
-arity one.  Concrete operads plug their operations into an OperadDescriptor;
-the axiom checker then tests unit laws, sequential and parallel
-associativity, and equivariance exhaustively on enumerated elements.
+arity one.  A concrete operad hands its operations to the checker in an
+OperadDescriptor; the checker tests unit laws, sequential and parallel
+associativity, and equivariance exhaustively on enumerated elements, one
+CheckResult per check.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ class PermElement:
 
     def __str__(self):
         return f"pi{self.index}[{self.arity}]"
-
-    def apply(self, args):
-        return args[self.index - 1]
 
 
 def perm_compose(w1: PermElement, k: int, w2: PermElement) -> PermElement:
@@ -64,32 +62,16 @@ def perm_act(sigma, w: PermElement) -> PermElement:
 
 @dataclass(frozen=True)
 class OperadDescriptor:
-    """Uniform interface over one concrete operad.
-
-    compose(w1, i, w2), act(sigma, w), unit (arity-1 element), arity_of(w),
-    and enumerate(arity, size_bound) -> finitely many distinct elements.
-    """
+    """What the axiom checker reads of one concrete operad: compose(w1, i, w2)
+    raises PositionOutOfRange for a slot outside 1..w1.arity, act(sigma, w)
+    relabels inputs, unit is the arity-one unit, and enumerate_arity(n,
+    size_bound) lists distinct elements of arity n, each with its `.arity`."""
 
     name: str
     compose: Callable
     act: Callable
     unit: object
-    arity_of: Callable
     enumerate_arity: Callable
-    element_type: type = object
-
-    def owns(self, w) -> bool:
-        return isinstance(w, self.element_type)
-
-
-def compose_at(P: OperadDescriptor, w1, i: int, w2):
-    """Partial composition through the descriptor, with validation."""
-    if not (P.owns(w1) and P.owns(w2)):
-        raise OperadMismatch(f"elements do not belong to operad {P.name}")
-    m = P.arity_of(w1)
-    if not 1 <= i <= m:
-        raise PositionOutOfRange(f"slot {i} out of 1..{m}")
-    return P.compose(w1, i, w2)
 
 
 def perm_operad() -> OperadDescriptor:
@@ -98,11 +80,9 @@ def perm_operad() -> OperadDescriptor:
         compose=perm_compose,
         act=perm_act,
         unit=PermElement(1, 1),
-        arity_of=lambda w: w.arity,
         enumerate_arity=lambda n, size_bound: (
             [PermElement(n, i) for i in range(1, n + 1)] if n >= 1 else []
         ),
-        element_type=PermElement,
     )
 
 
@@ -140,18 +120,26 @@ def trivial_operad(domain) -> OperadDescriptor:
         compose=compose,
         act=act,
         unit=ScalarOperadElement(domain.one()),
-        arity_of=lambda w: 1,
         enumerate_arity=enumerate_arity,
-        element_type=ScalarOperadElement,
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
+    """One axiom check: the instances compared, and the first counterexample."""
+
     name: str
-    instances: int
-    passed: bool
+    instances: int = 0
     witness: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
+
+    def fail(self, template: str, **fields):
+        """Record a counterexample; only the first one is formatted."""
+        if self.witness is None:
+            self.witness = template.format(**fields)
 
     def to_json_dict(self):
         d = {"name": self.name, "instances": self.instances, "pass": self.passed}
@@ -177,25 +165,6 @@ class AxiomReport:
 
     def to_json_dict(self):
         return {"operad": self.operad, "checks": [c.to_json_dict() for c in self.checks]}
-
-
-class _Check:
-    """Counts instances and keeps the first counterexample found."""
-
-    __slots__ = ("name", "instances", "witness")
-
-    def __init__(self, name):
-        self.name = name
-        self.instances = 0
-        self.witness = None
-
-    def fail(self, template: str, **fields):
-        """Record a counterexample; only the first one is formatted."""
-        if self.witness is None:
-            self.witness = template.format(**fields)
-
-    def result(self):
-        return CheckResult(self.name, self.instances, self.witness is None, self.witness)
 
 
 def _elements_by_arity(P, arity_bound, size_bound):
@@ -237,7 +206,7 @@ def _sequential_associativity(compose, small) -> CheckResult:
     one first in enumeration order (smallest w1 index, then i) is kept, and
     only it is formatted.
     """
-    check = _Check("sequential-associativity")
+    check = CheckResult("sequential-associativity")
     for n, w2s in small.items():
         if n < 1:
             continue
@@ -279,7 +248,7 @@ def _sequential_associativity(compose, small) -> CheckResult:
                         "({w1} o_{i} {w2}) o_{k} {w3} != {w1} o_{i} ({w2} o_{j} {w3})",
                         **first[1],
                     )
-    return check.result()
+    return check
 
 
 def _parallel_commutation(compose, small) -> CheckResult:
@@ -293,7 +262,7 @@ def _parallel_commutation(compose, small) -> CheckResult:
     row (w1 o_i w2) o_{j+n-1} w3 over w3, once per distinct (w1 o_i w2,
     j+n-1).  A left-hand row over w3 is read across the columns.
     """
-    check = _Check("parallel-commutation")
+    check = CheckResult("parallel-commutation")
     for m, w1s in small.items():
         if m < 2:
             continue
@@ -330,7 +299,7 @@ def _parallel_commutation(compose, small) -> CheckResult:
                                         w1=w1, i=i, w2=w2, k=k, j=j,
                                         w3=w3s[_first_difference(lhs, rhs)],
                                     )
-    return check.result()
+    return check
 
 
 def _orbit(act, perms, w):
@@ -346,7 +315,7 @@ def _symmetric_action(act, els) -> CheckResult:
     per arity.  Per w the orbit tau.w is interned, and act(sigma, .) applied
     once to each distinct orbit element, so a row is two lists of ids.
     """
-    check = _Check("symmetric-action")
+    check = CheckResult("symmetric-action")
     for n, ws in els.items():
         if n < 1:
             continue
@@ -369,7 +338,7 @@ def _symmetric_action(act, els) -> CheckResult:
                         "sigma.(tau.{w}) != (sigma tau).{w} for {sigma}, {tau}",
                         w=w, sigma=sigma, tau=perms[_first_difference(lhs, rhs)],
                     )
-    return check.result()
+    return check
 
 
 def _equivariance(compose, act, small) -> CheckResult:
@@ -380,7 +349,7 @@ def _equivariance(compose, act, small) -> CheckResult:
     composites w1 o_i w2 are computed once, each distinct sigma.w1 is
     composed with w2 once per slot, and w1 o_i once with each distinct rho.w2.
     """
-    check = _Check("equivariance")
+    check = CheckResult("equivariance")
     for m, w1s in small.items():
         if m < 1:
             continue
@@ -418,7 +387,7 @@ def _equivariance(compose, act, small) -> CheckResult:
                                 "{w1} o_{i} (rho.{w2}) fails for rho={rho}",
                                 w1=w1, i=i, w2=w2, rho=perms_n[_first_difference(lhs, rhs)],
                             )
-    return check.result()
+    return check
 
 
 def check_operad_axioms(
@@ -456,8 +425,8 @@ def check_operad_axioms(
     compose = P.compose
     report = AxiomReport(P.name)
 
-    unit_left = _Check("unit-left")
-    unit_right = _Check("unit-right")
+    unit_left = CheckResult("unit-left")
+    unit_right = CheckResult("unit-right")
     for n, ws in els.items():
         for w in ws:
             unit_left.instances += 1
@@ -469,8 +438,8 @@ def check_operad_axioms(
                 got = compose(w, i, P.unit)
                 if got != w:
                     unit_right.fail("{w} o_{i} 1 = {got}", w=w, i=i, got=got)
-    report.checks.append(unit_left.result())
-    report.checks.append(unit_right.result())
+    report.checks.append(unit_left)
+    report.checks.append(unit_right)
     report.checks.append(_sequential_associativity(compose, small))
     report.checks.append(_parallel_commutation(compose, small))
 
@@ -509,15 +478,15 @@ def check_algebra_action(
             raise IncompleteEvaluation(f"no value for {w} at {args}")
         return v
 
-    unit = _Check("action-unit")
+    unit = CheckResult("action-unit")
     for a in carrier:
         unit.instances += 1
         got = ev(P.unit, (a,))
         if got != a:
             unit.fail("unit({a}) = {got}", a=a, got=got)
-    report.checks.append(unit.result())
+    report.checks.append(unit)
 
-    comp = _Check("action-composition")
+    comp = CheckResult("action-composition")
     for m, w1s in els.items():
         if m < 1:
             continue
@@ -539,9 +508,9 @@ def check_algebra_action(
                                     "but nested evaluation gives {nested}",
                                     w1=w1, i=i, w2=w2, args=args, direct=direct, nested=nested,
                                 )
-    report.checks.append(comp.result())
+    report.checks.append(comp)
 
-    equiv = _Check("action-equivariance")
+    equiv = CheckResult("action-equivariance")
     for n, ws in els.items():
         if n < 1:
             continue
@@ -558,5 +527,5 @@ def check_algebra_action(
                             "args, sigma={sigma}",
                             w=w, args=args, sigma=sigma,
                         )
-    report.checks.append(equiv.result())
+    report.checks.append(equiv)
     return report

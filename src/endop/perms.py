@@ -2,14 +2,18 @@
 
 from itertools import permutations
 
-
-def identity_perm(n):
-    return tuple(range(1, n + 1))
+from .errors import OperadMismatch
 
 
 def all_perms(n):
     """All of Sigma_n in lexicographic order."""
     return [tuple(p) for p in permutations(range(1, n + 1))]
+
+
+def require_perm(sigma, n):
+    """Raise OperadMismatch unless sigma holds each of 1..n exactly once."""
+    if sorted(sigma) != [*range(1, n + 1)]:
+        raise OperadMismatch(f"{sigma} is not a permutation of 1..{n}")
 
 
 def compose_perms(sigma, tau):
@@ -55,8 +59,3 @@ def embed_at(m, i, sigma):
     for s in range(1, n + 1):
         tau[i + s - 2] = i + sigma[s - 1] - 1
     return tuple(tau)
-
-
-def perm_on_tuple(sigma, args):
-    """The relabelling action on argument tuples: returns (a_sigma(1), ...)."""
-    return tuple(args[s - 1] for s in sigma)

@@ -23,12 +23,12 @@ from operator import add
 from .errors import (
     FieldMismatch,
     MalformedTree,
-    OperadMismatch,
     PositionOutOfRange,
     TruncationMismatch,
     VerificationFailed,
 )
 from .operad_core import OperadDescriptor
+from .perms import require_perm
 from .scalars import FiniteField, Scalar
 
 
@@ -265,8 +265,7 @@ def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
 
 def qpoly_perm_act(sigma, f: QPolynomial) -> QPolynomial:
     """Relabel X_k as X_sigma(k); the shape is kept, so unchecked."""
-    if len(sigma) != f.arity:
-        raise OperadMismatch("permutation arity mismatch")
+    require_perm(sigma, f.arity)
     out = {}
     for exp, coeff in f.terms.items():
         new_exp = [0] * f.arity
@@ -291,9 +290,7 @@ def qpoly_operad(field: FiniteField) -> OperadDescriptor:
         compose=qpoly_compose,
         act=qpoly_perm_act,
         unit=QPolynomial.variable(field, 1, 1),
-        arity_of=lambda f: f.arity,
         enumerate_arity=enumerate_arity,
-        element_type=QPolynomial,
     )
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .errors import IndexOutOfRange, NotAGroup, OperadMismatch, PositionOutOfRange
+from .errors import IndexOutOfRange, OperadMismatch, PositionOutOfRange
 from .operad_core import OperadDescriptor
+from .perms import require_perm
 
 
 def _reduce_letters(letters):
@@ -137,8 +138,7 @@ def word_compose(w1: ReducedWord, i: int, w2: ReducedWord) -> ReducedWord:
 def word_perm_act(sigma, w: ReducedWord) -> ReducedWord:
     """Relabel generator indices by sigma; relabelling preserves reducedness."""
     n = w._arity
-    if len(sigma) != n or len(set(sigma)) != n:
-        raise OperadMismatch("not a permutation of the word's generators")
+    require_perm(sigma, n)
     return _word(n, tuple(sigma[v - 1] if v > 0 else -sigma[-v - 1] for v in w._letters))
 
 
@@ -156,16 +156,6 @@ def group_eval(w: ReducedWord, G, args):
     for v in w.letters:
         g = args[v - 1] if v > 0 else G.inverse(args[-v - 1])
         acc = G.mul(acc, g)
-    return acc
-
-
-def semigroup_eval(w: ReducedWord, mul, involution, unit, args):
-    """Evaluate a word in a unital semigroup with involution: inverse letters
-    go through the involution, the empty word gives the unit."""
-    acc = unit
-    for v in w.letters:
-        g = args[v - 1] if v > 0 else involution(args[-v - 1])
-        acc = mul(acc, g)
     return acc
 
 
@@ -192,15 +182,6 @@ def word_enumerate(n: int, max_length: int):
     return out
 
 
-def reduced_word_count(n: int, length: int) -> int:
-    """Closed form: 1 word of length 0, 2n(2n-1)^(L-1) of length L >= 1."""
-    if length == 0:
-        return 1
-    if n == 0:
-        return 0
-    return 2 * n * (2 * n - 1) ** (length - 1)
-
-
 def parse_word(s: str, arity: int) -> ReducedWord:
     """Inverse of str(): tokens like "x2" or "x2^-1" separated by spaces;
     "e" (or nothing) is the empty word."""
@@ -225,7 +206,5 @@ def word_operad() -> OperadDescriptor:
         compose=word_compose,
         act=word_perm_act,
         unit=ReducedWord(1, (1,)),
-        arity_of=lambda w: w.arity,
         enumerate_arity=lambda n, size_bound: word_enumerate(n, size_bound),
-        element_type=ReducedWord,
     )

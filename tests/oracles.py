@@ -1,9 +1,51 @@
 """Oracle-only helpers of the tests, which the library itself never calls:
 exhaustive generator trees of the q-power operad with one step of its
-presentation relations, and reading a field back from its JSON form."""
+presentation relations, reading a field back from its JSON form, the
+identity and the relabelling action of permutations, projections and
+transposes as plain functions, word evaluation in a semigroup with
+involution, and the closed-form count of reduced words."""
 
+from endop.linalg import ExactMatrix
 from endop.qpoly_operad import TreeLeaf, TreeMu, TreePq
 from endop.scalars import FiniteField
+
+
+def identity_perm(n):
+    return tuple(range(1, n + 1))
+
+
+def perm_on_tuple(sigma, args):
+    """The relabelling action on argument tuples: returns (a_sigma(1), ...)."""
+    return tuple(args[s - 1] for s in sigma)
+
+
+def project(w, args):
+    """The projection w, a PermElement, applied to an argument tuple."""
+    return args[w.index - 1]
+
+
+def transpose(m):
+    cols = list(zip(*m.data)) if m.data else [()] * m.ncols
+    return ExactMatrix(m.domain, cols, m.nrows)
+
+
+def semigroup_eval(w, mul, involution, unit, args):
+    """Evaluate a word in a unital semigroup with involution: inverse letters
+    go through the involution, the empty word gives the unit."""
+    acc = unit
+    for v in w.letters:
+        g = args[v - 1] if v > 0 else involution(args[-v - 1])
+        acc = mul(acc, g)
+    return acc
+
+
+def reduced_word_count(n: int, length: int) -> int:
+    """Closed form: 1 word of length 0, 2n(2n-1)^(L-1) of length L >= 1."""
+    if length == 0:
+        return 1
+    if n == 0:
+        return 0
+    return 2 * n * (2 * n - 1) ** (length - 1)
 
 
 def field_from_json_dict(d):

@@ -44,6 +44,15 @@ def test_central_set_bound_exceeded(capsys):
     assert doc["complete"] is False
 
 
+def test_all_gl_past_the_candidate_cap_fails_fast(capsys):
+    # GL_5(F_2) would be sought among 2^25 matrices
+    argv = ["schur-weyl", "--all-gl", "--dimension", "5", "--field", "2^1"]
+    code, doc = run_cli(capsys, argv)
+    assert code == 1
+    validate(doc)
+    assert doc["error"]["name"] == "BoundExceeded"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
@@ -332,6 +341,71 @@ def test_monoid_custom_table(capsys):
     code, doc = run_cli(capsys, ["monoid", "--table", "0,1;1,0"])
     assert code == 0
     assert doc["result"]["isomorphic"] is True
+
+
+def _table_text(rows):
+    return ";".join(",".join(map(str, row)) for row in rows)
+
+
+def _relabelled(rows, perm):
+    """The table of the same monoid with element a renamed perm[a]."""
+    out = [[None] * len(rows) for _ in rows]
+    for a, row in enumerate(rows):
+        for b, ab in enumerate(row):
+            out[perm[a]][perm[b]] = perm[ab]
+    return tuple(map(tuple, out))
+
+
+MONOIDS = st.one_of(
+    st.sampled_from(SMALL_MONOID_TABLES),
+    st.integers(1, 6).map(lambda m: tuple(tuple((a + b) % m for b in range(m)) for a in range(m))),
+).flatmap(lambda rows: st.permutations(range(len(rows))).map(lambda p: _relabelled(rows, p)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(MONOIDS)
+def test_table_flag_round_trips_monoid_tables(rows):
+    args = cli.build_parser().parse_args(["monoid", "--table=" + _table_text(rows)])
+    assert cli.parse_table(args).table == rows
+
+
+def _corrupted(monoid, how):
+    """A malformed --table: a cell that is no integer, an entry out of range,
+    a row one cell short, or a square table that is not a monoid."""
+    rows = [list(row) for row in monoid]
+    m = len(rows)
+    if how == "token":
+        rows[0][0] = "x"
+    elif how == "range":
+        rows[-1][-1] = m
+    elif how == "ragged":
+        rows[-1].pop()
+    else:
+        rows = [[0] * m for _ in range(m)]  # a zero table has no unit for m >= 2
+    return _table_text(rows)
+
+
+MALFORMED = st.one_of(
+    st.tuples(MONOIDS, st.sampled_from(["token", "range", "ragged"])),
+    st.tuples(MONOIDS.filter(lambda rows: len(rows) >= 2), st.just("no-unit")),
+).map(lambda args: _corrupted(*args))
+
+
+@settings(max_examples=100, deadline=None)
+@given(MALFORMED)
+def test_malformed_tables_exit_through_the_contract(text):
+    for command in ("monoid", "group-maps"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--table=" + text])
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("usage error: ")
+        else:
+            assert code == 1
+            doc = json.loads(out.getvalue())
+            validate(doc)
+            assert doc["error"]["name"] == "NotAMonoid"
 
 
 def test_field_spec_parsing():

@@ -281,7 +281,7 @@ def _candidates(m, count):
 def enumerated_central_module(domain, r, n):
     m, width = domain.size, r ** n
     if m ** (r * r) <= nat.HOM_ENUMERATION_CAP:
-        morphisms, complete = list(nat._all_square_matrices(domain, r)), True
+        morphisms, complete = list(nat.all_square_matrices(domain, r)), True
     else:
         morphisms, complete = nat._module_generator_family(domain, r), False
 
@@ -459,7 +459,7 @@ ORACLE_FIELDS = (finite_field(2), finite_field(3), finite_field(4), IntegersMod(
 @pytest.mark.parametrize("rank, arity", [(r, a) for r in (1, 2) for a in (0, 1, 2)])
 def test_central_module_basis_is_the_stacked_nullspace(domain, rank, arity):
     cells = [(0, i, j) for i in range(rank) for j in range(rank ** arity)]
-    morphisms = [(0, 0, f) for f in nat._all_square_matrices(domain, rank)]
+    morphisms = [(0, 0, f) for f in nat.all_square_matrices(domain, rank)]
     rep = central_module(domain, rank, arity)
     flat = [tuple(a for row in m.data for a in row) for m in rep.survivors]
     assert flat == _stacked_nullspace(domain, cells, morphisms, arity)

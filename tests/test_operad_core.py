@@ -6,8 +6,8 @@ from itertools import product
 
 import pytest
 
-from endop.errors import OperadMismatch, PositionOutOfRange
-from endop.faults import corrupted_perm_operad, corrupted_word_operad
+from endop.errors import PositionOutOfRange
+from endop.faults import corrupted_operad
 from endop.operad_core import (
     PermElement,
     _elements_by_arity,
@@ -15,7 +15,6 @@ from endop.operad_core import (
     _symmetric_action,
     check_algebra_action,
     check_operad_axioms,
-    compose_at,
     perm_act,
     perm_compose,
     perm_operad,
@@ -25,7 +24,6 @@ from endop.perms import (
     all_perms,
     compose_perms,
     embed_at,
-    identity_perm,
     invert_perm,
     stretch_at,
 )
@@ -33,11 +31,11 @@ from endop.qpoly_operad import qpoly_operad
 from endop.scalars import IntegersMod, finite_field
 from endop.word_operad import (
     ReducedWord,
-    reduced_word_count,
     word_compose,
     word_operad,
     word_perm_act,
 )
+from oracles import identity_perm, project, reduced_word_count
 
 
 def test_perm_defining_relations():
@@ -125,15 +123,6 @@ def test_axiom_report_json_shape():
         assert c["pass"] is True
 
 
-def test_compose_at_validation():
-    P = perm_operad()
-    assert compose_at(P, PermElement(2, 1), 2, PermElement(1, 1)) == PermElement(2, 1)
-    with pytest.raises(PositionOutOfRange):
-        compose_at(P, PermElement(2, 1), 0, PermElement(1, 1))
-    with pytest.raises(OperadMismatch):
-        compose_at(P, PermElement(2, 1), 1, "not an element")
-
-
 def test_trivial_operad_is_ring_multiplication():
     Z4 = IntegersMod(4)
     T = trivial_operad(Z4)
@@ -146,7 +135,7 @@ def test_trivial_operad_is_ring_multiplication():
 
 def test_perm_action_on_finite_set():
     P = perm_operad()
-    rep = check_algebra_action(P, 3, lambda w, args: w.apply(args), 3, 0)
+    rep = check_algebra_action(P, 3, project, 3, 0)
     assert rep.passed
 
 
@@ -232,7 +221,7 @@ def test_three_element_checks_match_one_by_one_oracle():
         # arity 3 makes left rows (w1 o_i w2) o_k w3 repeat across w1
         (word_operad(), 3, 1, [None, None]),
         (
-            corrupted_word_operad(), 2, 2,
+            corrupted_operad("word-reduce"), 2, 2,
             [
                 "(x1 x2 o_2 x1^-1) o_2 e != x1 x2 o_2 (x1^-1 o_1 e)",
                 "(x1 x2^-1 o_2 e) o_1 x1 != (x1 x2^-1 o_1 x1) o_2 e",
@@ -254,7 +243,7 @@ def test_three_element_checks_match_one_by_one_oracle():
             ],
         ),
         (
-            corrupted_perm_operad(), 3, 0,
+            corrupted_operad("perm-compose"), 3, 0,
             [
                 "(pi3[3] o_1 pi1[1]) o_1 pi1[1] != pi3[3] o_1 (pi1[1] o_1 pi1[1])",
                 "(pi2[2] o_2 pi2[2]) o_1 pi1[1] != (pi2[2] o_1 pi1[1]) o_2 pi2[2]",
@@ -322,7 +311,7 @@ ACTION_CASES = {  # operad, arity bound, size bounds, witnesses of the action ch
     "perm": (perm_operad(), 4, 0, 0, [None, None]),
     "qpoly-f2": (qpoly_operad(finite_field(2)), 2, 1, 1, [None, None]),
     "perm-compose": (
-        corrupted_perm_operad(), 3, 0, 0,
+        corrupted_operad("perm-compose"), 3, 0, 0,
         [None, "(sigma.pi1[2]) o_1 pi1[1] fails for sigma=(2, 1)"],
     ),
     "perm-inverse-act": (
@@ -372,7 +361,7 @@ def test_action_checks_match_one_by_one_oracle(case):
 
 
 def test_corrupted_perm_is_caught_with_named_witness():
-    rep = check_operad_axioms(corrupted_perm_operad(), 3, 0)
+    rep = check_operad_axioms(corrupted_operad("perm-compose"), 3, 0)
     assert not rep.passed
     first = rep.first_failure()
     assert first.name == "unit-right"
@@ -398,7 +387,7 @@ def test_corrupted_perm_is_caught_with_named_witness():
 def test_corrupted_word_composites_are_valid_words():
     """The fault builds its results unchecked; each one must still pass the
     validating constructor, so the fault lies only in which word it is."""
-    P = corrupted_word_operad()
+    P = corrupted_operad("word-reduce")
     composites = 0
     for m in range(1, 3):
         for w1 in P.enumerate_arity(m, 2):
@@ -413,7 +402,7 @@ def test_corrupted_word_composites_are_valid_words():
 
 
 def test_corrupted_word_reduction_is_caught():
-    rep = check_operad_axioms(corrupted_word_operad(), 2, 2)
+    rep = check_operad_axioms(corrupted_operad("word-reduce"), 2, 2)
     assert not rep.passed
     first = rep.first_failure()
     assert first.witness is not None

@@ -3,15 +3,14 @@ equivariance axioms, checked against honest function composition."""
 
 from itertools import product
 
-from endop.perms import (
-    all_perms,
-    compose_perms,
-    embed_at,
-    identity_perm,
-    invert_perm,
-    perm_on_tuple,
-    stretch_at,
-)
+import pytest
+
+from endop.errors import OperadMismatch
+from endop.perms import all_perms, compose_perms, embed_at, invert_perm, stretch_at
+from endop.qpoly_operad import QPolynomial, qpoly_perm_act
+from endop.scalars import finite_field
+from endop.word_operad import parse_word, word_perm_act
+from oracles import identity_perm, perm_on_tuple
 
 
 def test_basic_group_structure():
@@ -78,3 +77,23 @@ def test_embed_at_matches_function_composition():
                                     f, g, i, m, n, perm_on_tuple(tau, args)
                                 )
                                 assert lhs == rhs
+
+
+WORD = parse_word("x1 x2^-1", 2)
+POLY = QPolynomial.parse(finite_field(2), 2, "X1*X2^2")
+
+
+@pytest.mark.parametrize(
+    "act, element, sigma",
+    [
+        # unchecked, these build x2 x3^-1 in arity 2, move X1 X2^2 to
+        # X1^2 X2, drop X2, and raise an IndexError
+        (word_perm_act, WORD, (2, 3)),
+        (qpoly_perm_act, POLY, (0, 1)),
+        (qpoly_perm_act, POLY, (1, 1)),
+        (qpoly_perm_act, POLY, (2, 3)),
+    ],
+)
+def test_act_functions_refuse_non_permutations(act, element, sigma):
+    with pytest.raises(OperadMismatch):
+        act(sigma, element)

@@ -23,13 +23,12 @@ from endop.word_operad import (
     free_reduce,
     group_eval,
     parse_word,
-    reduced_word_count,
-    semigroup_eval,
     word_compose,
     word_enumerate,
     word_operad,
     word_perm_act,
 )
+from oracles import reduced_word_count, semigroup_eval
 
 S3 = symmetric_group_3()
 
