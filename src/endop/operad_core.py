@@ -12,27 +12,45 @@ CheckResult per check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
-from .errors import OperadMismatch, PositionOutOfRange
-from .perms import all_perms, compose_perms, embed_at, invert_perm, stretch_at
+from .errors import PositionOutOfRange
+from .perms import all_perms, compose_perms, embed_at, invert_perm, require_perm, stretch_at
+
+PERM_TAG = -2  # the first entry of every PermElement tuple
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class PermElement:
-    """The i-th projection among n inputs."""
+class PermElement(tuple):
+    """The i-th projection among n inputs.
 
-    arity: int
-    index: int
+    A value: an immutable tuple (PERM_TAG, arity, index), so that hashing,
+    equality and construction run in C.  The tag keeps a projection unequal
+    to a plain tuple of its fields and to a word with the same numbers.
+    Projections also order as tuples; that order means nothing.
+    """
 
-    def __post_init__(self):
-        if self.arity < 1:
+    __slots__ = ()
+
+    def __new__(cls, arity, index):
+        if arity < 1:
             raise ValueError("projections need at least one input")
-        if not 1 <= self.index <= self.arity:
-            raise ValueError(f"projection index {self.index} out of 1..{self.arity}")
+        if not 1 <= index <= arity:
+            raise ValueError(f"projection index {index} out of 1..{arity}")
+        return _new(cls, (PERM_TAG, arity, index))
+
+    arity = property(itemgetter(1))
+    index = property(itemgetter(2))
+
+    def __repr__(self):
+        return f"PermElement(arity={self[1]!r}, index={self[2]!r})"
 
     def __str__(self):
-        return f"pi{self.index}[{self.arity}]"
+        return f"pi{self[2]}[{self[1]}]"
+
+    def __reduce__(self):
+        return PermElement, (self[1], self[2])
 
 
 def perm_compose(w1: PermElement, k: int, w2: PermElement) -> PermElement:
@@ -41,23 +59,26 @@ def perm_compose(w1: PermElement, k: int, w2: PermElement) -> PermElement:
     The composite of projections is again a projection; its index follows
     from composing the underlying functions.
     """
-    if not 1 <= k <= w1.arity:
-        raise PositionOutOfRange(f"slot {k} out of 1..{w1.arity}")
-    m, n, i, j = w1.arity, w2.arity, w1.index, w2.index
+    _, m, i = w1
+    if not 1 <= k <= m:
+        raise PositionOutOfRange(f"slot {k} out of 1..{m}")
+    _, n, j = w2
     if i < k:
         idx = i
     elif i == k:
         idx = k + j - 1
     else:
         idx = i + n - 1
-    return PermElement(m + n - 1, idx)
+    return _new(PermElement, (PERM_TAG, m + n - 1, idx))
 
 
 def perm_act(sigma, w: PermElement) -> PermElement:
-    """Input relabelling: (sigma . pi_i)(a_1..a_n) = pi_i(a_sigma(1)..) = a_sigma(i)."""
-    if len(sigma) != w.arity:
-        raise OperadMismatch("permutation arity mismatch")
-    return PermElement(w.arity, sigma[w.index - 1])
+    """Input relabelling: (sigma . pi_i)(a_1..a_n) = pi_i(a_sigma(1)..) = a_sigma(i).
+
+    sigma must be a permutation of 1..n; anything else is an OperadMismatch."""
+    _, n, i = w
+    require_perm(sigma, n)
+    return _new(PermElement, (PERM_TAG, n, sigma[i - 1]))
 
 
 @dataclass(frozen=True)
@@ -195,7 +216,10 @@ def _shared(values, row):
 def _sequential_associativity(compose, small) -> CheckResult:
     """(w1 o_i w2) o_{i+j-1} w3 = w1 o_i (w2 o_j w3), a row over w3 at a time.
 
-    In each block (arity n of w2, arity p of w3) the inner composites
+    The composites w1 o_i w2 are computed once per arity n of w2, a row over
+    w2 per (m, i, w1) holding one copy of each value, and read in every
+    block (n, p).  In each block
+    (arity n of w2, arity p of w3) the inner composites
     w2 o_j w3 are interned to small ints.  The block is then worked one arity
     m of w1 and one slot i at a time, the i loop outside the w1 loop: w1 o_i
     is applied once per (w1, i) to each distinct inner composite, so that a
@@ -210,6 +234,16 @@ def _sequential_associativity(compose, small) -> CheckResult:
     for n, w2s in small.items():
         if n < 1:
             continue
+        # w1 o_i w2 by m, then i, then w1: a row over w2, the same for every p
+        c12_values = {}
+        c12_table = {
+            m: [
+                [_shared(c12_values, [compose(w1, i, w2) for w2 in w2s]) for w1 in w1s]
+                for i in range(1, m + 1)
+            ]
+            for m, w1s in small.items()
+            if m >= 1
+        }
         for p, w3s in small.items():
             inner_ids = {}
             inner = [
@@ -221,13 +255,12 @@ def _sequential_associativity(compose, small) -> CheckResult:
                 if m < 1:
                     continue
                 first = None  # ((w1 index, i), witness fields) of the earliest failure
-                for i in range(1, m + 1):
+                for i, c12_rows in enumerate(c12_table[m], 1):
                     values = {}
                     left_rows = {}
-                    for a, w1 in enumerate(w1s):
+                    for a, (w1, c12_row) in enumerate(zip(w1s, c12_rows)):
                         outer = _shared(values, [compose(w1, i, d) for d in distinct])
-                        for w2, inner_rows in zip(w2s, inner):
-                            c12 = compose(w1, i, w2)
+                        for w2, c12, inner_rows in zip(w2s, c12_row, inner):
                             for j, inner_row in enumerate(inner_rows, 1):
                                 k = i + j - 1
                                 lhs = left_rows.get((c12, k))
@@ -345,9 +378,11 @@ def _equivariance(compose, act, small) -> CheckResult:
     """(sigma.w1) o_i w2 = stretch.(w1 o_{sigma^-1(i)} w2), a row over i, and
     w1 o_i (rho.w2) = embed.(w1 o_i w2), a row over rho, at a time.
 
-    Orbits are interned per arity of w1 and per block.  Per (w1, w2) the m
-    composites w1 o_i w2 are computed once, each distinct sigma.w1 is
-    composed with w2 once per slot, and w1 o_i once with each distinct rho.w2.
+    Orbits are interned per arity of w1 and per block.  One table per block
+    (arity m of w1, arity n of w2) holds the row of composites x o_i y over
+    i for each pair (x, y) met: (w1, w2), (sigma.w1, w2) and (w1, rho.w2).
+    Orbits overlap across elements, so each row is computed once per block,
+    whichever element's orbit met it first.
     """
     check = CheckResult("equivariance")
     for m, w1s in small.items():
@@ -364,10 +399,18 @@ def _equivariance(compose, act, small) -> CheckResult:
             sources = [[k - 1 for k in invert_perm(sigma)] for sigma in perms_m]
             embeds = [[embed_at(m, i, rho) for rho in perms_n] for i in slots]
             orbits2 = [_orbit(act, perms_n, w2) for w2 in w2s]
+            rows = {}
+
+            def composites(x, y):
+                row = rows.get((x, y))
+                if row is None:
+                    row = rows[x, y] = [compose(x, i, y) for i in slots]
+                return row
+
             for w1, (orbit1, ids1) in zip(w1s, orbits1):
                 for w2, (orbit2, ids2) in zip(w2s, orbits2):
-                    base = [compose(w1, i, w2) for i in slots]
-                    acted_rows = [[compose(d, i, w2) for i in slots] for d in ids1]
+                    base = composites(w1, w2)
+                    acted_rows = [composites(d, w2) for d in ids1]
                     for sigma, o, stretch_row, source in zip(perms_m, orbit1, stretches, sources):
                         lhs = acted_rows[o]
                         rhs = [act(s, base[k]) for s, k in zip(stretch_row, source)]
@@ -377,9 +420,9 @@ def _equivariance(compose, act, small) -> CheckResult:
                                 "(sigma.{w1}) o_{i} {w2} fails for sigma={sigma}",
                                 w1=w1, i=_first_difference(lhs, rhs) + 1, w2=w2, sigma=sigma,
                             )
-                    for i, c, embed_row in zip(slots, base, embeds):
-                        composed = [compose(w1, i, d) for d in ids2]
-                        lhs = [composed[o] for o in orbit2]
+                    composed = [composites(w1, d) for d in ids2]
+                    for k, (i, c, embed_row) in enumerate(zip(slots, base, embeds)):
+                        lhs = [composed[o][k] for o in orbit2]
                         rhs = [act(e, c) for e in embed_row]
                         check.instances += len(perms_n)
                         if lhs != rhs and check.witness is None:
@@ -404,15 +447,23 @@ def check_operad_axioms(
     defaults to size_bound.  Arities with no elements are skipped.  Failures
     are report content, not exceptions; each failing check carries its first
     counterexample in enumeration order.  Every instance is compared, but a
-    value that repeats within a table is computed once (see the helpers):
-    inner composites per block of arities, left-hand rows of sequential
-    associativity per block and slot, columns and right-hand rows of
-    parallel commutation per block, the product table of Sigma_n per arity,
-    the orbits sigma.w per element, and the composites w1 o_i w2 per
-    (w1, w2).  No table outlives its block.  Sequential associativity runs
-    slot-major, out of enumeration order, and keeps the failing instance
-    first in enumeration order.  So P.compose and P.act must be functions
-    of their inputs and return hashable elements.
+    value that repeats within a table is computed once.  The tables each
+    check shares (see the helpers):
+
+    - sequential associativity: the rows w1 o_i w2 per arity of w2; the
+      interned inner composites w2 o_j w3 per block of arities; the outer
+      composites w1 o_i d and the left-hand rows per block and slot;
+    - parallel commutation: the columns and right-hand rows per block;
+    - symmetric action: the product table of Sigma_n per arity, and the
+      orbit sigma.w per element;
+    - equivariance: the orbits per arity and block, and one row of
+      composites x o_i y over i per pair (x, y) met in a block, shared by
+      the elements whose orbits meet it.
+
+    No table outlives the arity or block it is kept for.  Sequential
+    associativity runs slot-major, out of enumeration order, and keeps the
+    failing instance first in enumeration order.  So P.compose and P.act
+    must be functions of their inputs and return hashable elements.
     """
     if triple_size_bound is None:
         triple_size_bound = size_bound

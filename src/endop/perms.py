@@ -1,5 +1,6 @@
 """Permutations of {1..n} as one-line tuples: sigma[i-1] is the image of i."""
 
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import OperadMismatch
@@ -10,9 +11,16 @@ def all_perms(n):
     return [tuple(p) for p in permutations(range(1, n + 1))]
 
 
+@lru_cache(maxsize=4096)
+def _is_perm(sigma, n):
+    return sorted(sigma) == [*range(1, n + 1)]
+
+
 def require_perm(sigma, n):
-    """Raise OperadMismatch unless sigma holds each of 1..n exactly once."""
-    if sorted(sigma) != [*range(1, n + 1)]:
+    """Raise OperadMismatch unless sigma holds each of 1..n exactly once.
+
+    Each distinct (sigma, n) is sorted once; lists are looked up as tuples."""
+    if not _is_perm(tuple(sigma), n):
         raise OperadMismatch(f"{sigma} is not a permutation of 1..{n}")
 
 

@@ -120,7 +120,7 @@ class FieldPolynomial:
     arbitrary nonnegative exponents.  Operands must share field and arity.
     """
 
-    __slots__ = ("field", "arity", "terms")
+    __slots__ = ("field", "arity", "terms", "_hash")
 
     def __init__(self, field: FiniteField, arity: int, terms=None):
         clean = {}
@@ -169,9 +169,14 @@ class FieldPolynomial:
         )
 
     def __hash__(self):
-        # the field is left out: it costs more to hash than all the rest,
-        # and equal polynomials share it anyway
-        return hash((self.arity, frozenset(self.terms.items())))
+        # computed once, as terms is never changed after construction; the
+        # field is left out: it costs more to hash than all the rest, and
+        # equal polynomials share it anyway
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.arity, frozenset(self.terms.items())))
+            return self._hash
 
     def __add__(self, other):
         self._check(other)
@@ -252,15 +257,23 @@ def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
     m, n = f.arity, g.arity
     if not 1 <= i <= m:
         raise PositionOutOfRange(f"slot {i} out of 1..{m}")
-    times = f.field.mul
-
-    def terms():
-        for exp, coeff in f.terms.items():
-            e_i, before, after = exp[i - 1], exp[: i - 1], exp[i:]
-            for gexp, gcoeff in g.terms.items():
-                yield before + tuple(e * e_i for e in gexp) + after, times(coeff, gcoeff)
-
-    return QPolynomial._raw(f.field, m + n - 1, _collect(f.field, terms()))
+    times, plus = f.field.mul, f.field.add
+    out = {}
+    met = False
+    for exp, coeff in f.terms.items():
+        e_i, before, after = exp[i - 1], exp[: i - 1], exp[i:]
+        for gexp, gcoeff in g.terms.items():
+            key = before + tuple([e * e_i for e in gexp]) + after
+            c = times(coeff, gcoeff)  # nonzero: F_q has no zero divisors
+            prev = out.get(key)
+            if prev is None:
+                out[key] = c
+            else:
+                out[key] = plus(prev, c)
+                met = True
+    if met:
+        out = {exp: c for exp, c in out.items() if c}
+    return QPolynomial._raw(f.field, m + n - 1, out)
 
 
 def qpoly_perm_act(sigma, f: QPolynomial) -> QPolynomial:

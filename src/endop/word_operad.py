@@ -7,11 +7,14 @@ Letters are stored as signed integers: +i for x_i, -i for its inverse.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import itemgetter
 
 from .errors import IndexOutOfRange, OperadMismatch, PositionOutOfRange
 from .operad_core import OperadDescriptor
 from .perms import require_perm
+
+WORD_TAG = -1  # the first entry of every ReducedWord tuple
+_new = tuple.__new__
 
 
 def _reduce_letters(letters):
@@ -24,16 +27,19 @@ def _reduce_letters(letters):
     return tuple(out)
 
 
-class ReducedWord:
+class ReducedWord(tuple):
     """A freely reduced word; arity bounds the generator indices that may occur.
 
-    Immutable: arity and letters are read-only, and equality and hashing
-    are by (arity, letters).
+    A value: an immutable tuple (WORD_TAG, arity, letters), so that hashing,
+    equality and construction run in C.  The tag keeps a word unequal to a
+    plain tuple of its fields and to a projection with the same numbers.
+    Words also order as tuples; that order means nothing.  len() counts the
+    letters, so the empty word is falsy.
     """
 
-    __slots__ = ("_arity", "_letters")
+    __slots__ = ()
 
-    def __init__(self, arity, letters):
+    def __new__(cls, arity, letters):
         letters = tuple(letters)
         if arity < 0:
             raise ValueError("negative arity")
@@ -42,41 +48,33 @@ class ReducedWord:
                 raise IndexOutOfRange(f"letter {v} out of range for arity {arity}")
         if letters != _reduce_letters(letters):
             raise ValueError(f"letters {letters} are not freely reduced")
-        self._arity = arity
-        self._letters = letters
+        return _new(cls, (WORD_TAG, arity, letters))
 
-    arity = property(attrgetter("_arity"))
-    letters = property(attrgetter("_letters"))
-
-    def __eq__(self, other):
-        if other.__class__ is not ReducedWord:
-            return NotImplemented
-        return self._arity == other._arity and self._letters == other._letters
-
-    def __hash__(self):
-        return hash((self._arity, self._letters))
+    arity = property(itemgetter(1))
+    letters = property(itemgetter(2))
 
     def __repr__(self):
-        return f"ReducedWord(arity={self._arity!r}, letters={self._letters!r})"
+        return f"ReducedWord(arity={self[1]!r}, letters={self[2]!r})"
 
     def __len__(self):
-        return len(self._letters)
+        return len(self[2])
 
     def __str__(self):
-        if not self._letters:
+        letters = self[2]
+        if not letters:
             return "e"
-        return " ".join(f"x{v}" if v > 0 else f"x{-v}^-1" for v in self._letters)
+        return " ".join(f"x{v}" if v > 0 else f"x{-v}^-1" for v in letters)
+
+    def __reduce__(self):
+        return ReducedWord, (self[1], self[2])
 
     def inverse(self):
-        return ReducedWord(self._arity, tuple(-v for v in reversed(self._letters)))
+        return _word(self[1], tuple(-v for v in reversed(self[2])))
 
 
 def _word(arity, letters) -> ReducedWord:
     """A word from letters already reduced and in range, without the checks."""
-    w = object.__new__(ReducedWord)
-    w._arity = arity
-    w._letters = letters
-    return w
+    return _new(ReducedWord, (WORD_TAG, arity, letters))
 
 
 def free_reduce(letters, arity: int) -> ReducedWord:
@@ -94,19 +92,18 @@ def word_compose(w1: ReducedWord, i: int, w2: ReducedWord) -> ReducedWord:
     above i are shifted up by n-1, and an inverted occurrence of x_i receives
     the inverse word.  The raw result is freely reduced.
     """
-    m = w1._arity
+    _, m, letters = w1
     if not 1 <= i <= m:
         raise PositionOutOfRange(f"slot {i} out of 1..{m}")
-    letters = w1._letters
-    shift1 = w2._arity - 1
+    _, n, block = w2
+    shift1 = n - 1
     if i not in letters and -i not in letters:
         # a relabelling of w1's generators, which keeps the word reduced
         if not shift1:
             return w1
         relabelled = [v + shift1 if v > i else v - shift1 if v < -i else v for v in letters]
-        return _word(m + shift1, tuple(relabelled))
+        return _new(ReducedWord, (WORD_TAG, m + shift1, tuple(relabelled)))
     shift2 = i - 1
-    block = w2._letters
     if shift2:
         block = tuple([v + shift2 if v > 0 else v - shift2 for v in block])
     out = []
@@ -132,14 +129,15 @@ def word_compose(w1: ReducedWord, i: int, w2: ReducedWord) -> ReducedWord:
             out.pop()
             t += 1
         out.extend(piece[t:] if t else piece)
-    return _word(m + shift1, tuple(out))
+    return _new(ReducedWord, (WORD_TAG, m + shift1, tuple(out)))
 
 
 def word_perm_act(sigma, w: ReducedWord) -> ReducedWord:
     """Relabel generator indices by sigma; relabelling preserves reducedness."""
-    n = w._arity
+    _, n, letters = w
     require_perm(sigma, n)
-    return _word(n, tuple(sigma[v - 1] if v > 0 else -sigma[-v - 1] for v in w._letters))
+    relabelled = tuple([sigma[v - 1] if v > 0 else -sigma[-v - 1] for v in letters])
+    return _new(ReducedWord, (WORD_TAG, n, relabelled))
 
 
 def group_eval(w: ReducedWord, G, args):

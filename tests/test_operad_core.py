@@ -1,14 +1,21 @@
 """The projection operad against honest function composition, the generic
 axiom checker, and the one-object scalar operad."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
+import endop
 from endop.errors import PositionOutOfRange
 from endop.faults import corrupted_operad
 from endop.operad_core import (
+    PERM_TAG,
     PermElement,
     _elements_by_arity,
     _equivariance,
@@ -30,6 +37,7 @@ from endop.perms import (
 from endop.qpoly_operad import qpoly_operad
 from endop.scalars import IntegersMod, finite_field
 from endop.word_operad import (
+    WORD_TAG,
     ReducedWord,
     word_compose,
     word_operad,
@@ -72,6 +80,66 @@ def test_perm_element_validation():
         PermElement(2, 3)
     with pytest.raises(PositionOutOfRange):
         perm_compose(PermElement(2, 1), 3, PermElement(2, 1))
+
+
+# one element of each tuple-backed type, with the fields it was built from
+ELEMENTS = {
+    "word": (ReducedWord(2, (1, -2)), (2, (1, -2))),
+    "perm": (PermElement(3, 2), (3, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", ELEMENTS)
+def test_tuple_backed_elements_are_values(kind):
+    element, fields = ELEMENTS[kind]
+    cls = type(element)
+    assert element == cls(*fields) and hash(element) == hash(cls(*fields))
+    assert element != fields
+    assert copy.copy(element) == element == copy.deepcopy(element)
+    assert pickle.loads(pickle.dumps(element)) == element
+    assert type(pickle.loads(pickle.dumps(element))) is cls
+    assert repr(element).startswith(f"{cls.__name__}(arity={fields[0]}, ")
+    for name in ("arity", "other"):
+        with pytest.raises(AttributeError):
+            setattr(element, name, 1)
+
+
+def test_words_and_projections_differ_by_their_tags():
+    assert WORD_TAG != PERM_TAG
+    p = PermElement(2, 1)
+    # the numbers of p under the word tag, and of a word under the projection tag
+    assert p != (WORD_TAG, 2, 1) and p == (PERM_TAG, 2, 1)
+    assert tuple.__new__(ReducedWord, (WORD_TAG, 2, 1)) != p
+    assert ReducedWord(2, (1,)) != (PERM_TAG, 2, (1,))
+    assert len({ReducedWord(1, (1,)), PermElement(1, 1), (1, (1,)), (1, 1)}) == 4
+
+
+def test_word_length_counts_letters():
+    assert len(ReducedWord(2, (1, -2, 1))) == 3
+    assert not ReducedWord(2, ()) and ReducedWord(1, (1,))
+    assert [len(w) for w in word_operad().enumerate_arity(1, 2)] == [0, 1, 1, 2, 2]
+
+
+def test_element_hashes_do_not_depend_on_the_process():
+    """Tags and fields are ints and tuples of ints, whose hashes are not
+    salted, so two interpreters with different hash seeds agree."""
+    src = os.path.dirname(os.path.dirname(endop.__file__))
+    script = (
+        "from endop.operad_core import PermElement\n"
+        "from endop.word_operad import ReducedWord\n"
+        "print(hash(ReducedWord(2, (1, -2))), hash(PermElement(3, 2)))\n"
+    )
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    here = f"{hash(ELEMENTS['word'][0])} {hash(ELEMENTS['perm'][0])}\n"
+    assert outs == [here, here]
 
 
 def test_perm_enumeration_sizes():
@@ -306,6 +374,19 @@ def act_ignoring_sigma(sigma, w):
     return w if w.arity == 3 and len(w) == 2 else word_perm_act(sigma, w)
 
 
+X2 = ReducedWord(2, (2,))
+
+
+def fault_at_x2_o2_x2(w1, i, w2):
+    """Wrong only at x2 o_2 x2 in arity 2, which gives x3^-1 for x3.  Both x2
+    are second in their Sigma_2 orbit {x1, x2}.  So equivariance first fails
+    at w1 = x1, w2 = x2, against the composites x1 o_i x2 that its block
+    tabled for w2 = x1."""
+    if i == 2 and w1 == w2 == X2:
+        return word_compose(w1, i, w2).inverse()
+    return word_compose(w1, i, w2)
+
+
 ACTION_CASES = {  # operad, arity bound, size bounds, witnesses of the action checks
     "word": (word_operad(), 2, 2, 2, [None, None]),
     "perm": (perm_operad(), 4, 0, 0, [None, None]),
@@ -331,6 +412,10 @@ ACTION_CASES = {  # operad, arity bound, size bounds, witnesses of the action ch
             "sigma.(tau.x1) != (sigma tau).x1 for (1, 3, 2), (2, 1, 3)",
             "(sigma.x1) o_1 e fails for sigma=(2, 1)",
         ],
+    ),
+    "word-fault-at-x2-o2-x2": (
+        replace(word_operad(), compose=fault_at_x2_o2_x2), 2, 1, 1,
+        [None, "(sigma.x1) o_2 x2 fails for sigma=(2, 1)"],
     ),
     "word-act-ignoring-sigma": (
         replace(word_operad(), act=act_ignoring_sigma), 3, 2, 2,

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from endop.errors import OperadMismatch
+from endop.operad_core import PermElement, perm_act
 from endop.perms import all_perms, compose_perms, embed_at, invert_perm, stretch_at
 from endop.qpoly_operad import QPolynomial, qpoly_perm_act
 from endop.scalars import finite_field
@@ -92,8 +93,20 @@ POLY = QPolynomial.parse(finite_field(2), 2, "X1*X2^2")
         (qpoly_perm_act, POLY, (0, 1)),
         (qpoly_perm_act, POLY, (1, 1)),
         (qpoly_perm_act, POLY, (2, 3)),
+        # unchecked, these build pi1[2] and the invalid pi0[2]
+        (perm_act, PermElement(2, 2), (1, 1)),
+        (perm_act, PermElement(2, 1), (0, 1)),
+        (perm_act, PermElement(3, 1), (1, 2)),
     ],
 )
 def test_act_functions_refuse_non_permutations(act, element, sigma):
     with pytest.raises(OperadMismatch):
         act(sigma, element)
+
+
+def test_act_functions_take_permutations_as_lists():
+    assert perm_act([2, 1], PermElement(2, 1)) == perm_act((2, 1), PermElement(2, 1))
+    assert word_perm_act([2, 1], WORD) == word_perm_act((2, 1), WORD)
+    assert qpoly_perm_act([2, 1], POLY) == qpoly_perm_act((2, 1), POLY)
+    with pytest.raises(OperadMismatch):
+        perm_act([1, 1], PermElement(2, 1))
