@@ -86,7 +86,9 @@ class OperadDescriptor:
     """What the axiom checker reads of one concrete operad: compose(w1, i, w2)
     raises PositionOutOfRange for a slot outside 1..w1.arity, act(sigma, w)
     relabels inputs, unit is the arity-one unit, and enumerate_arity(n,
-    size_bound) lists distinct elements of arity n, each with its `.arity`."""
+    size_bound) lists distinct elements of arity n, each with its `.arity`.
+    A row kernel compose.row(w1, i, w2s), if compose has one, must equal
+    [compose(w1, i, w2) for w2 in w2s]; a replaced compose has none."""
 
     name: str
     compose: Callable
@@ -213,6 +215,12 @@ def _shared(values, row):
     return tuple([values.setdefault(v, v) for v in row])
 
 
+def _rows(compose):
+    """compose's row kernel, compose.row(x, k, ys) == [compose(x, k, y) for y
+    in ys], or that list built one call at a time when compose has none."""
+    return getattr(compose, "row", None) or (lambda x, k, ys: [compose(x, k, y) for y in ys])
+
+
 def _sequential_associativity(compose, small) -> CheckResult:
     """(w1 o_i w2) o_{i+j-1} w3 = w1 o_i (w2 o_j w3), a row over w3 at a time.
 
@@ -231,6 +239,7 @@ def _sequential_associativity(compose, small) -> CheckResult:
     only it is formatted.
     """
     check = CheckResult("sequential-associativity")
+    compose_row = _rows(compose)
     for n, w2s in small.items():
         if n < 1:
             continue
@@ -238,7 +247,7 @@ def _sequential_associativity(compose, small) -> CheckResult:
         c12_values = {}
         c12_table = {
             m: [
-                [_shared(c12_values, [compose(w1, i, w2) for w2 in w2s]) for w1 in w1s]
+                [_shared(c12_values, compose_row(w1, i, w2s)) for w1 in w1s]
                 for i in range(1, m + 1)
             ]
             for m, w1s in small.items()
@@ -247,7 +256,7 @@ def _sequential_associativity(compose, small) -> CheckResult:
         for p, w3s in small.items():
             inner_ids = {}
             inner = [
-                [_intern(inner_ids, [compose(w2, j, w3) for w3 in w3s]) for j in range(1, n + 1)]
+                [_intern(inner_ids, compose_row(w2, j, w3s)) for j in range(1, n + 1)]
                 for w2 in w2s
             ]
             distinct = list(inner_ids)
@@ -259,13 +268,13 @@ def _sequential_associativity(compose, small) -> CheckResult:
                     values = {}
                     left_rows = {}
                     for a, (w1, c12_row) in enumerate(zip(w1s, c12_rows)):
-                        outer = _shared(values, [compose(w1, i, d) for d in distinct])
+                        outer = _shared(values, compose_row(w1, i, distinct))
                         for w2, c12, inner_rows in zip(w2s, c12_row, inner):
                             for j, inner_row in enumerate(inner_rows, 1):
                                 k = i + j - 1
                                 lhs = left_rows.get((c12, k))
                                 if lhs is None:
-                                    lhs = _shared(values, [compose(c12, k, w3) for w3 in w3s])
+                                    lhs = _shared(values, compose_row(c12, k, w3s))
                                     left_rows[c12, k] = lhs
                                 rhs = tuple(map(outer.__getitem__, inner_row))
                                 check.instances += len(w3s)
@@ -296,6 +305,7 @@ def _parallel_commutation(compose, small) -> CheckResult:
     j+n-1).  A left-hand row over w3 is read across the columns.
     """
     check = CheckResult("parallel-commutation")
+    compose_row = _rows(compose)
     for m, w1s in small.items():
         if m < 2:
             continue
@@ -307,22 +317,22 @@ def _parallel_commutation(compose, small) -> CheckResult:
                 columns = {}
                 rhs_rows = {}
                 for w1 in w1s:
-                    by_slot = {j: [compose(w1, j, w3) for w3 in w3s] for j in range(2, m + 1)}
+                    by_slot = {j: compose_row(w1, j, w3s) for j in range(2, m + 1)}
                     for i in range(1, m):
-                        c1 = [compose(w1, i, w2) for w2 in w2s]
+                        c1 = compose_row(w1, i, w2s)
                         for j in range(i + 1, m + 1):
                             k = j + n - 1
                             row = []
                             for d in by_slot[j]:
                                 column = columns.get((d, i))
                                 if column is None:
-                                    column = _shared(values, [compose(d, i, w2) for w2 in w2s])
+                                    column = _shared(values, compose_row(d, i, w2s))
                                     columns[d, i] = column
                                 row.append(column)
                             for w2, c, lhs in zip(w2s, c1, zip(*row)):
                                 rhs = rhs_rows.get((c, k))
                                 if rhs is None:
-                                    rhs = _shared(values, [compose(c, k, w3) for w3 in w3s])
+                                    rhs = _shared(values, compose_row(c, k, w3s))
                                     rhs_rows[c, k] = rhs
                                 check.instances += len(w3s)
                                 if lhs != rhs and check.witness is None:
@@ -463,7 +473,9 @@ def check_operad_axioms(
     No table outlives the arity or block it is kept for.  Sequential
     associativity runs slot-major, out of enumeration order, and keeps the
     failing instance first in enumeration order.  So P.compose and P.act
-    must be functions of their inputs and return hashable elements.
+    must be functions of their inputs and return hashable elements.  The
+    associativity checks build their rows with P.compose.row when it exists
+    (see OperadDescriptor), and with one P.compose call per element if not.
     """
     if triple_size_bound is None:
         triple_size_bound = size_bound

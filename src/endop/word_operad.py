@@ -85,51 +85,68 @@ def free_reduce(letters, arity: int) -> ReducedWord:
     return _word(arity, _reduce_letters(letters))
 
 
-def word_compose(w1: ReducedWord, i: int, w2: ReducedWord) -> ReducedWord:
-    """Substitute w2 for x_i in w1.
+def _relabel(letters, i, up):
+    """letters with the generators above x_i moved up by up."""
+    if not up:
+        return letters
+    return tuple([v + up if v > i else v - up if v < -i else v for v in letters])
 
-    w2's generators are shifted to occupy slots i..i+n-1, generators of w1
-    above i are shifted up by n-1, and an inverted occurrence of x_i receives
-    the inverse word.  The raw result is freely reduced.
+
+def word_compose_row(w1: ReducedWord, i: int, w2s) -> list:
+    """[word_compose(w1, i, w2) for w2 in w2s].
+
+    What depends on w2 only through its arity is done once per arity: w1
+    relabelled when it has no letter x_i^(+-1), else w1 split at those
+    letters and its segments relabelled.  Per w2 the shifted block, or its
+    inverse, fills each cut.  Its generators x_i..x_(i+n-1) are none of the
+    segments', so letters can cancel only where two blocks meet, across an
+    empty segment or an empty w2, and only then is the result reduced.
     """
     _, m, letters = w1
     if not 1 <= i <= m:
         raise PositionOutOfRange(f"slot {i} out of 1..{m}")
-    _, n, block = w2
-    shift1 = n - 1
+    by_arity = {}
+    row = []
     if i not in letters and -i not in letters:
         # a relabelling of w1's generators, which keeps the word reduced
-        if not shift1:
-            return w1
-        relabelled = [v + shift1 if v > i else v - shift1 if v < -i else v for v in letters]
-        return _new(ReducedWord, (WORD_TAG, m + shift1, tuple(relabelled)))
-    shift2 = i - 1
-    if shift2:
-        block = tuple([v + shift2 if v > 0 else v - shift2 for v in block])
-    out = []
-    # w1 and w2 are reduced, and so is each piece appended below: letters
-    # can only cancel where a piece meets the letters before it
-    for v in letters:
-        if v == i:
-            piece = block
-        elif v == -i:
-            piece = tuple([-x for x in reversed(block)])
-        else:
-            if v > i:
-                v += shift1
-            elif v < -i:
-                v -= shift1
-            if out and out[-1] == -v:
-                out.pop()
-            else:
-                out.append(v)
-            continue
-        t = 0
-        while out and t < len(piece) and out[-1] == -piece[t]:
-            out.pop()
-            t += 1
-        out.extend(piece[t:] if t else piece)
-    return _new(ReducedWord, (WORD_TAG, m + shift1, tuple(out)))
+        for _, n, _ in w2s:
+            w = by_arity.get(n)
+            if w is None:
+                w = by_arity[n] = _word(m + n - 1, _relabel(letters, i, n - 1))
+            row.append(w)
+        return row
+    cuts = [t for t, v in enumerate(letters) if v == i or v == -i]
+    ends = cuts[1:] + [len(letters)]
+    blocks_meet = len(cuts) > 1 and any(b == a + 1 for a, b in zip(cuts, ends))
+    inverted = -i in letters
+    shift = i - 1
+    for _, n, block in w2s:
+        parts = by_arity.get(n)
+        if parts is None:
+            relabelled = _relabel(letters, i, n - 1)
+            parts = by_arity[n] = relabelled[: cuts[0]], [
+                (relabelled[a] > 0, relabelled[a + 1 : b]) for a, b in zip(cuts, ends)
+            ]
+        if shift:
+            block = tuple([v + shift if v > 0 else v - shift for v in block])
+        inverse = tuple([-v for v in reversed(block)]) if inverted else block
+        raw, segments = parts
+        for positive, segment in segments:
+            raw += (block if positive else inverse) + segment
+        if blocks_meet or not block:
+            raw = _reduce_letters(raw)
+        row.append(_new(ReducedWord, (WORD_TAG, m + n - 1, raw)))
+    return row
+
+
+def word_compose(w1: ReducedWord, i: int, w2: ReducedWord) -> ReducedWord:
+    """Substitute w2 for x_i in w1, freely reduced: w2's generators shift to
+    slots i..i+n-1, w1's above i shift up by n-1, and x_i^-1 receives the
+    inverse word.  The one-element row of word_compose_row."""
+    return word_compose_row(w1, i, (w2,))[0]
+
+
+word_compose.row = word_compose_row
 
 
 def word_perm_act(sigma, w: ReducedWord) -> ReducedWord:

@@ -3,11 +3,13 @@ exhaustive generator trees of the q-power operad with one step of its
 presentation relations, reading a field back from its JSON form, the
 identity and the relabelling action of permutations, projections and
 transposes as plain functions, word evaluation in a semigroup with
-involution, and the closed-form count of reduced words."""
+involution, word composition by raw substitution, and the closed-form count
+of reduced words."""
 
 from endop.linalg import ExactMatrix
 from endop.qpoly_operad import TreeLeaf, TreeMu, TreePq
 from endop.scalars import FiniteField
+from endop.word_operad import free_reduce
 
 
 def identity_perm(n):
@@ -37,6 +39,28 @@ def semigroup_eval(w, mul, involution, unit, args):
         g = args[v - 1] if v > 0 else involution(args[-v - 1])
         acc = mul(acc, g)
     return acc
+
+
+def substitute(w1, i, w2):
+    """The letters of w1 with w2 substituted for x_i, unreduced."""
+    n = w2.arity
+    block = [v + i - 1 if v > 0 else v - i + 1 for v in w2.letters]
+    raw = []
+    for v in w1.letters:
+        if v == i:
+            raw.extend(block)
+        elif v == -i:
+            raw.extend(-x for x in reversed(block))
+        elif abs(v) > i:
+            raw.append(v + n - 1 if v > 0 else v - n + 1)
+        else:
+            raw.append(v)
+    return raw
+
+
+def compose_by_substitution(w1, i, w2):
+    """w1 o_i w2 as the substituted letters, then free_reduce."""
+    return free_reduce(substitute(w1, i, w2), w1.arity + w2.arity - 1)
 
 
 def reduced_word_count(n: int, length: int) -> int:

@@ -40,6 +40,7 @@ from endop.word_operad import (
     WORD_TAG,
     ReducedWord,
     word_compose,
+    word_compose_row,
     word_operad,
     word_perm_act,
 )
@@ -443,6 +444,39 @@ def test_action_checks_match_one_by_one_oracle(case):
     if case != "word-act-ignoring-sigma":
         rep = check_operad_axioms(P, arity_bound, size_bound, triple_size_bound)
         assert [(c.instances, c.witness) for c in rep.checks[4:]] == got
+
+
+def test_a_replaced_compose_falls_back_to_one_call_per_element():
+    """The row kernel is an attribute of word_compose, so a descriptor whose
+    compose is replaced, as by a fault or a counting wrapper, is checked one
+    composite per call: as many calls as the checker made before it had a
+    kernel, and the same report as through the kernel."""
+    calls = 0
+
+    def counting(w1, i, w2):
+        nonlocal calls
+        calls += 1
+        return word_compose(w1, i, w2)
+
+    lawful = check_operad_axioms(word_operad(), 2, 2)
+    rep = check_operad_axioms(replace(word_operad(), compose=counting), 2, 2)
+    assert calls == 30_432
+    assert rep.passed and rep.to_json_dict() == lawful.to_json_dict()
+    assert word_operad().compose.row is word_compose_row
+    assert not hasattr(corrupted_operad("word-reduce").compose, "row")
+
+    # given a row kernel, the same compose has its rows built by it
+    calls, rows = 0, 0
+
+    def row(w1, i, w2s):
+        nonlocal rows
+        rows += 1
+        return word_compose_row(w1, i, w2s)
+
+    counting.row = row
+    rep = check_operad_axioms(replace(word_operad(), compose=counting), 2, 2)
+    assert rep.to_json_dict() == lawful.to_json_dict()
+    assert rows > 0 and calls < 30_432
 
 
 def test_corrupted_perm_is_caught_with_named_witness():

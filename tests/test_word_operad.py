@@ -24,11 +24,12 @@ from endop.word_operad import (
     group_eval,
     parse_word,
     word_compose,
+    word_compose_row,
     word_enumerate,
     word_operad,
     word_perm_act,
 )
-from oracles import reduced_word_count, semigroup_eval
+from oracles import compose_by_substitution, reduced_word_count, semigroup_eval, substitute
 
 S3 = symmetric_group_3()
 
@@ -106,39 +107,30 @@ def test_word_compose_substitution_shape():
     assert str(word_compose(w1, 1, w2)) == "x1 x2 x3"
 
 
-def substitute(w1, i, w2):
-    """Oracle: the letters of w1 with w2 substituted for x_i, unreduced."""
-    n = w2.arity
-    block = [v + i - 1 if v > 0 else v - i + 1 for v in w2.letters]
-    raw = []
-    for v in w1.letters:
-        if v == i:
-            raw.extend(block)
-        elif v == -i:
-            raw.extend(-x for x in reversed(block))
-        elif abs(v) > i:
-            raw.append(v + n - 1 if v > 0 else v - n + 1)
-        else:
-            raw.append(v)
-    return raw
-
-
 def test_word_compose_matches_substitution_oracle():
     def triples(words):
         return [(w1, i, w2) for w1 in words for i in range(1, w1.arity + 1) for w2 in words]
 
     # every triple of arity <= 3 and length <= 2, where substitution never
     # cancels, and longer words of arity <= 2, where it does
-    short = triples([w for n in range(4) for w in word_enumerate(n, 2)])
+    short_words = [w for n in range(4) for w in word_enumerate(n, 2)]
+    long_words = [w for n in range(3) for w in word_enumerate(n, 3)]
+    short = triples(short_words)
     assert len(short) == 9000
     cancelling = []
-    for w1, i, w2 in short + triples([w for n in range(3) for w in word_enumerate(n, 3)]):
+    composites = {}
+    for w1, i, w2 in short + triples(long_words):
         raw = substitute(w1, i, w2)
-        got = word_compose(w1, i, w2)
+        got = composites[w1, i, w2] = word_compose(w1, i, w2)
         assert got.arity == w1.arity + w2.arity - 1
         assert got.letters == naive_reduce(raw), (w1, i, w2)
         if len(got) < len(raw):
             cancelling.append((w1, i, w2))
+    # a row over a whole word list gives the same composites
+    for words in (short_words, long_words):
+        for w1 in words:
+            for i in range(1, w1.arity + 1):
+                assert word_compose_row(w1, i, words) == [composites[w1, i, w2] for w2 in words]
     # both shortcuts are exercised: x_i absent (a relabelling), and x_i
     # present, also inverted, with cancellation where pieces meet, also
     # around an empty w2
@@ -147,6 +139,31 @@ def test_word_compose_matches_substitution_oracle():
     assert any(-i in w1.letters and w2.letters for w1, i, w2 in cancelling)
     assert any(i in w1.letters and w2.letters for w1, i, w2 in cancelling)
     assert any(not w2.letters for _, _, w2 in cancelling)
+
+
+def words_of_arity(n):
+    if n == 0:
+        return st.just(ReducedWord(0, ()))
+    letters = st.lists(st.integers(-n, n).filter(bool), max_size=6)
+    return letters.map(lambda raw: free_reduce(raw, n))
+
+
+@given(
+    st.integers(1, 4).flatmap(words_of_arity),
+    st.lists(st.integers(0, 4).flatmap(words_of_arity), max_size=8),
+    st.integers(0, 4),
+)
+def test_word_compose_row_matches_substitution_oracle(x, ys, empty_arity):
+    ys = ys + [ReducedWord(empty_arity, ())]
+    for k in range(1, x.arity + 1):
+        expected = [compose_by_substitution(x, k, y) for y in ys]
+        assert word_compose_row(x, k, ys) == expected
+        assert [word_compose(x, k, y) for y in ys] == expected
+    for k in (0, x.arity + 1):
+        with pytest.raises(PositionOutOfRange):
+            word_compose_row(x, k, ys)
+        with pytest.raises(PositionOutOfRange):
+            word_compose(x, k, ys[0])
 
 
 def test_reduced_word_contract():
