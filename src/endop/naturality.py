@@ -7,7 +7,9 @@ subcategory, re-verifies every survivor before emitting it, and returns a
 NaturalityReport.  For sets, monoids and groups one backtracking solver
 propagates the conditions cell by cell.  For modules and graded modules the
 conditions are linear, and one shared routine solves them with the one
-solver of `linalg`, over fields and Z/m alike.
+solver of `linalg`, over fields and Z/m alike.  Naturality is closed under
+composition of morphisms, so the set and module drivers solve against a
+generating set of the endomorphism monoid in place of the whole monoid.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .linalg import (
     CANDIDATE_CAP,
     ExactMatrix,
     HomBasis,
-    all_square_matrices,
     kron_power,
     module_elements,
     solution_generators,
@@ -339,15 +340,33 @@ def _equivariant_tables(maps, size, arity):
 
 # -- the central operad of finite sets ---------------------------------------
 
+def _set_generators(n):
+    """Maps of [n] that generate the monoid of all n^n endomaps under
+    composition (Howie, Fundamentals of Semigroup Theory, 1995): for n >= 2
+    the swap (0 1) and the n-cycle i -> i + 1, which generate the
+    permutations, and the collapse n-1 -> 0, an idempotent of rank n - 1;
+    for n <= 1 the one map."""
+    if n <= 1:
+        return [tuple(range(n))]
+    return [
+        (1, 0) + tuple(range(2, n)),
+        tuple(range(1, n)) + (0,),
+        tuple(range(n - 1)) + (0,),
+    ]
+
+
 def _central_set(n, context):
-    endomaps = list(product(range(n), repeat=n))
+    """The maps [n]^n -> [n] natural for every endomap of [n], solved and
+    re-checked against the generators of _set_generators only.  A map
+    natural for f and for g is natural for g.f, so they have the same
+    solutions as all n^n endomaps, the order that `morphisms` reports."""
     with _Timer() as tm:
-        survivors = _equivariant_tables(endomaps, n, n)
+        survivors = _equivariant_tables(_set_generators(n), n, n)
     return NaturalityReport(
         context=context,
         arity=n,
         objects=[f"[{n}]"],
-        morphisms=len(endomaps),
+        morphisms=n ** n,
         survivors=[FiniteFunction(n ** n, n, phi) for phi in survivors],
         complete=True,
         elapsed_ms=tm.ms,
@@ -366,13 +385,37 @@ def central_set_bruteforce(n: int) -> NaturalityReport:
 def central_set_determined(n: int) -> NaturalityReport:
     """All maps [n]^n -> [n] commuting with every endomap of [n], solved by
     propagation: a value at one tuple forces the values along its orbit
-    under the endomaps.  For n = 0 there are no values at all."""
+    under the three generating endomaps of _set_generators, which have the
+    same solutions as all n^n.  For n = 0 there are no values at all."""
     if n > 4:
         raise BoundExceeded("determination check bounded at n <= 4")
     return _central_set(n, "central-set-determined")
 
 
 # -- the central operad of R-modules -----------------------------------------
+
+def _module_generators(domain, r):
+    """Matrices that generate the monoid of all r x r matrices over F_q or
+    Z/m under multiplication: the transvections I + E_ab for a != b, and
+    diag(d, 1, ..., 1) for every d in R; for r = 0 the empty matrix.  By
+    Smith normal form every matrix is U.D.V with U, V invertible and D a
+    product of diag(d, 1, ..., 1) conjugated by permutations.  GL_r is SL_r
+    times the diag(u, 1, ..., 1) for units u, and SL_r of a semilocal ring
+    such as Z/m is generated by the elementary matrices
+    I + a.E_ab = (I + E_ab)^a (Bass, Algebraic K-Theory, 1968)."""
+    if r == 0:
+        return [ExactMatrix(domain, [])]
+    zero, one = domain.zero_raw, domain.one_raw
+
+    def identity_with(a, b, v):
+        rows = [[one if i == j else zero for j in range(r)] for i in range(r)]
+        rows[a][b] = v
+        return ExactMatrix(domain, rows)
+
+    return [identity_with(a, b, one) for a in range(r) for b in range(r) if a != b] + [
+        identity_with(0, 0, d) for d in domain.elements()
+    ]
+
 
 def _module_generator_family(domain, r):
     """Elementary matrices, the idempotents killing one coordinate, and all
@@ -457,9 +500,13 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
     on the free module R^r.
 
     Over a field the report carries a basis of the solutions, over Z/m every
-    solution.  When the full endomorphism monoid is too large to enumerate, a
-    generator family and a seeded sample of SAMPLE_VERIFICATIONS further
-    endomorphisms stand in, with complete=False.
+    solution.  The conditions are solved and re-checked against the
+    generators of _module_generators only: a map natural for f and for g is
+    natural for g.f, so they have the same solutions as all |R|^(r^2)
+    endomorphisms, the order that `morphisms` reports.  When that order
+    passes HOM_ENUMERATION_CAP, a generator family and a seeded sample of
+    SAMPLE_VERIFICATIONS further endomorphisms stand in, with
+    complete=False.
     """
     if not domain.is_finite:
         raise UnsupportedDomain("central_module expects a finite ring F_q or Z/m")
@@ -468,14 +515,12 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
     r, n = rank, arity
     width = r ** n
     complete = domain.size ** (r * r) <= HOM_ENUMERATION_CAP
-    family = None if complete else _module_generator_family(domain, r)
+    gens = _module_generators(domain, r) if complete else _module_generator_family(domain, r)
 
     def morphisms():
-        # generated afresh for each pass, so that no list of them is kept
+        yield from ((0, 0, f) for f in gens)
         if complete:
-            yield from ((0, 0, f) for f in all_square_matrices(domain, r))
             return
-        yield from ((0, 0, f) for f in family)
         rng, els = random.Random(0), domain.elements()
         for _ in range(SAMPLE_VERIFICATIONS):
             flat = [[els[rng.randrange(domain.size)] for _ in range(r)] for _ in range(r)]
@@ -495,7 +540,7 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
         context="central-module",
         arity=n,
         objects=[f"{domain}^{r}"],
-        morphisms=domain.size ** (r * r) if complete else len(family),
+        morphisms=domain.size ** (r * r) if complete else len(gens),
         survivors=survivors,
         complete=complete,
         elapsed_ms=tm.ms,

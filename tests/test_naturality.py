@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import endop
 from endop import naturality as nat
 from endop.errors import BoundExceeded, NotAGroup, NotAMonoid, UnsupportedDomain
-from endop.linalg import ExactMatrix, kron_power, nullspace
+from endop.linalg import ExactMatrix, all_square_matrices, kron_power, nullspace
 from endop.naturality import (
     BUILTIN_TABLES,
     SMALL_MONOID_TABLES,
@@ -263,6 +263,184 @@ def test_rank_zero_agrees_over_zmod_and_fields(arity):
     assert counts == {"Z/4": 1, "F2": 1}
 
 
+# -- generators of the morphism monoids -------------------------------------------
+#
+# The set and module drivers solve and re-check against generators of the
+# endomorphism monoid only.  That gives the same answers because naturality
+# for f and for g implies naturality for g.f, provided the generators
+# generate.  Where the monoid can be listed, the closure tests below prove
+# that they do; past that, the cited theorems in the docstrings of
+# _set_generators and _module_generators are the proof.
+
+COMPLETE_RINGS = [IntegersMod(m) for m in range(2, 9)] + [
+    finite_field(q) for q in (2, 3, 4, 5, 7, 8)
+]
+# every (ring, rank) with rank >= 2 whose |R|^(r^2) matrices are at most
+# HOM_ENUMERATION_CAP, among these rings
+COMPLETE_MODULE_CASES = [(R, 2) for R in COMPLETE_RINGS] + [
+    (IntegersMod(2), 3), (finite_field(2), 3)
+]
+
+
+def _closure(gens, mul):
+    """The monoid generated by gens: every product of one or more of them."""
+    seen = frontier = set(gens)
+    while frontier:
+        frontier = {mul(g, x) for x in frontier for g in gens} - seen
+        seen = seen | frontier
+    return seen
+
+
+def _set_closure(gens):
+    return _closure(gens, lambda g, f: tuple(g[x] for x in f))
+
+
+def _matrix_closure(domain, gens):
+    # raw values are range(size) over Z/m and F_q alike, so tables index them
+    size = domain.size
+    add = [[domain.add(a, b) for b in range(size)] for a in range(size)]
+    mul = [[domain.mul(a, b) for b in range(size)] for a in range(size)]
+
+    def entry(row, col):
+        total = 0
+        for x, y in zip(row, col):
+            total = add[total][mul[x][y]]
+        return total
+
+    def product_of(a, b):
+        cols = tuple(zip(*b))
+        return tuple(tuple(entry(row, col) for col in cols) for row in a)
+
+    return _closure([g.data for g in gens], product_of)
+
+
+def _all_matrices(domain, r):
+    return {f.data for f in all_square_matrices(domain, r)}
+
+
+def test_set_generators_generate_every_endomap():
+    # for n <= 1 the one generator is the one map, by construction
+    for n in (0, 1):
+        assert nat._set_generators(n) == list(product(range(n), repeat=n))
+    for n in (2, 3, 4, 5):
+        assert _set_closure(nat._set_generators(n)) == set(product(range(n), repeat=n)), n
+
+
+@pytest.mark.parametrize("domain, rank", COMPLETE_MODULE_CASES, ids=str)
+def test_module_generators_generate_every_matrix(domain, rank):
+    assert domain.size ** (rank * rank) <= nat.HOM_ENUMERATION_CAP
+    gens = nat._module_generators(domain, rank)
+    assert _matrix_closure(domain, gens) == _all_matrices(domain, rank)
+
+
+def test_module_generators_at_rank_at_most_one_are_every_matrix():
+    # by construction: diag(d) for every d is every 1 x 1 matrix, and the
+    # empty matrix is the one 0 x 0 matrix
+    for domain in COMPLETE_RINGS + [IntegersMod(9), finite_field(9)]:
+        for rank in (0, 1):
+            gens = {g.data for g in nat._module_generators(domain, rank)}
+            assert gens == _all_matrices(domain, rank), (domain, rank)
+
+
+# rank <= 1 is left out: there the generators are the whole monoid
+AGAINST_EVERY_MORPHISM = [
+    pytest.param(lambda n=n: central_set_determined(n), id=f"set-{n}") for n in range(5)
+] + [
+    pytest.param(lambda R=R, r=r, a=a: central_module(R, r, a), id=f"{R}-rank{r}-arity{a}")
+    for R, r in COMPLETE_MODULE_CASES
+    for a in (0, 1, 2)
+]
+
+
+@pytest.mark.parametrize("solve", AGAINST_EVERY_MORPHISM)
+def test_generators_solve_as_the_whole_monoid(monkeypatch, solve):
+    """The report equals the one of a solve against the whole monoid list,
+    which is what the set and module drivers solved against before."""
+    expected = _report(solve())
+    monkeypatch.setattr(nat, "_set_generators", lambda n: list(product(range(n), repeat=n)))
+    monkeypatch.setattr(
+        nat, "_module_generators", lambda domain, r: list(all_square_matrices(domain, r))
+    )
+    assert _report(solve()) == expected
+
+
+# -- mutants: generating sets with one class of generators removed ------------------
+#
+# Removing any one class breaks the closure proof.  Some removals also change
+# survivors (pinned below); others do not, and only the closure tests catch
+# them.  These leave every survivor unchanged: dropping the swap (n <= 3);
+# dropping the unit diagonals over F_3, F_4, Z/4 and Z/6 at rank 2 (arity
+# <= 2); and dropping the non-unit diagonals over F_3 and F_4 (arity <= 2).
+# Over Z/4 the last changes arity 2 only (1 survivor becomes 2).
+
+SET_CLASSES = ("swap", "cycle", "collapse")  # the order of _set_generators
+
+
+def _set_generators_without(cls):
+    generators = nat._set_generators
+    return lambda n: [f for name, f in zip(SET_CLASSES, generators(n)) if name != cls]
+
+
+def _module_class(domain, g):
+    r = len(g.data)
+    if any(g.data[a][b] for a in range(r) for b in range(r) if a != b):
+        return "transvections"
+    d = g.data[0][0]
+    if any(domain.mul(d, e) == domain.one_raw for e in domain.elements()):
+        return "unit diagonals"
+    return "non-unit diagonals"
+
+
+def _module_generators_without(cls):
+    generators = nat._module_generators
+    return lambda domain, r: [
+        g for g in generators(domain, r) if _module_class(domain, g) != cls
+    ]
+
+
+@pytest.mark.parametrize("cls", SET_CLASSES)
+def test_each_set_generator_class_is_needed(cls):
+    # at n = 2 the swap is the 2-cycle, so each class is needed from n = 3
+    for n in (3, 4, 5):
+        gens = _set_generators_without(cls)(n)
+        assert _set_closure(gens) != set(product(range(n), repeat=n)), n
+
+
+@pytest.mark.parametrize("cls", ["transvections", "unit diagonals", "non-unit diagonals"])
+@pytest.mark.parametrize(
+    "domain", [finite_field(3), finite_field(4), IntegersMod(4), IntegersMod(6)], ids=str
+)
+def test_each_module_generator_class_is_needed(domain, cls):
+    # over Z/2 and F_2 the one unit diagonal is the identity, which the
+    # transvections already generate
+    gens = _module_generators_without(cls)(domain, 2)
+    assert _matrix_closure(domain, gens) != _all_matrices(domain, 2)
+
+
+@pytest.mark.parametrize(
+    "cls, count", [("swap", 3), ("cycle", 4), ("collapse", 81)]
+)
+def test_set_survivors_without_a_generator_class(monkeypatch, cls, count):
+    assert central_set_determined(3).count == 3
+    monkeypatch.setattr(nat, "_set_generators", _set_generators_without(cls))
+    assert central_set_determined(3).count == count
+
+
+@pytest.mark.parametrize(
+    "domain, cls, count",
+    [
+        (IntegersMod(4), "transvections", 16),
+        (IntegersMod(4), "unit diagonals", 4),
+        (finite_field(3), "non-unit diagonals", 3),
+    ],
+    ids=str,
+)
+def test_module_survivors_without_a_generator_class(monkeypatch, domain, cls, count):
+    assert central_module(domain, 2, 1).extra["transformation_count"] == domain.size
+    monkeypatch.setattr(nat, "_module_generators", _module_generators_without(cls))
+    assert central_module(domain, 2, 1).extra["transformation_count"] == count
+
+
 # -- brute-force oracles over Z/m ------------------------------------------------
 #
 # The candidate enumeration the Z/m drivers used before they solved their
@@ -281,7 +459,7 @@ def _candidates(m, count):
 def enumerated_central_module(domain, r, n):
     m, width = domain.size, r ** n
     if m ** (r * r) <= nat.HOM_ENUMERATION_CAP:
-        morphisms, complete = list(nat.all_square_matrices(domain, r)), True
+        morphisms, complete = list(all_square_matrices(domain, r)), True
     else:
         morphisms, complete = nat._module_generator_family(domain, r), False
 
@@ -397,6 +575,14 @@ RECHECK_INJECTIONS = [
         "naturality.finite_group_natural_maps(naturality.cyclic_group(2), 2)",
         "survivor (1, 0, 0, 0) is not natural",
     ),
+    (
+        # the constant map 0 on [3]^3, re-checked against the generators only
+        "solved = naturality._solve_tables\n"
+        "naturality._solve_tables = lambda count, *a, **k: solved(count, *a, **k)"
+        " + ([(0,) * 27] if count == 27 else [])",
+        "naturality.central_set_determined(3)",
+        "survivor (0, 0, 0, 0,",
+    ),
 ]
 
 
@@ -459,7 +645,7 @@ ORACLE_FIELDS = (finite_field(2), finite_field(3), finite_field(4), IntegersMod(
 @pytest.mark.parametrize("rank, arity", [(r, a) for r in (1, 2) for a in (0, 1, 2)])
 def test_central_module_basis_is_the_stacked_nullspace(domain, rank, arity):
     cells = [(0, i, j) for i in range(rank) for j in range(rank ** arity)]
-    morphisms = [(0, 0, f) for f in nat.all_square_matrices(domain, rank)]
+    morphisms = [(0, 0, f) for f in all_square_matrices(domain, rank)]
     rep = central_module(domain, rank, arity)
     flat = [tuple(a for row in m.data for a in row) for m in rep.survivors]
     assert flat == _stacked_nullspace(domain, cells, morphisms, arity)
