@@ -115,9 +115,7 @@ def _operad_by_name(name, args):
         return word_operad()
     if name == "qpoly":
         return qpoly_operad(_parse_arg("--field", args.field or "2^1", parse_field))
-    if name == "trivial":
-        return trivial_operad(parse_ring(args.ring or "zmod:4"))
-    raise SystemExit2(f"unknown operad {name!r}")
+    return trivial_operad(parse_ring(args.ring or "zmod:4"))
 
 
 # -- subcommand handlers, each returning a JSON-ready result dict -------------
@@ -177,11 +175,9 @@ def cmd_word(args):
         if not all(0 <= a < size for a in elems):
             raise SystemExit2(f"--args {args.args!r} names elements outside 0..{size - 1}")
         return {"value": group_eval(w, G, elems)}
-    if args.action == "enumerate":
-        _non_negative(arity1=args.arity1, max_length=args.max_length)
-        words = word_enumerate(args.arity1, args.max_length)
-        return {"count": len(words), "words": [str(w) for w in words]}
-    raise SystemExit2(f"unknown word action {args.action!r}")
+    _non_negative(arity1=args.arity1, max_length=args.max_length)
+    words = word_enumerate(args.arity1, args.max_length)
+    return {"count": len(words), "words": [str(w) for w in words]}
 
 
 def cmd_perm(args):
@@ -192,12 +188,10 @@ def cmd_perm(args):
             _parse_arg("--index2", args.index2, lambda i: PermElement(args.arity2, i)),
         )
         return {"arity": out.arity, "index": out.index}
-    if args.action == "check":
-        _non_negative(arity_bound=args.arity_bound)
-        P = corrupted_operad(args.inject_fault) if args.inject_fault else perm_operad()
-        rep = check_operad_axioms(P, args.arity_bound, 0)
-        return rep.to_json_dict()
-    raise SystemExit2(f"unknown perm action {args.action!r}")
+    _non_negative(arity_bound=args.arity_bound)
+    P = corrupted_operad(args.inject_fault) if args.inject_fault else perm_operad()
+    rep = check_operad_axioms(P, args.arity_bound, 0)
+    return rep.to_json_dict()
 
 
 def cmd_qpoly(args):
@@ -223,14 +217,10 @@ def cmd_qpoly(args):
         f = _parse_arg("--f", args.f, lambda s: FieldPolynomial.parse(field, args.arity, s))
         verdict = multilinearity_check(f)
         return {"multilinear": verdict.multilinear, "witness": verdict.witness}
-    if args.action == "generate":
-        if not is_q_power(args.exp_bound, field.q):
-            raise SystemExit2(f"--exp-bound {args.exp_bound} must be a power of q={field.q}")
-        pairs = generated_submonomials(args.arity, args.exp_bound, field)
-        return {
-            "monomials": [{"monomial": str(m), "tree": str(t)} for m, t in pairs]
-        }
-    raise SystemExit2(f"unknown qpoly action {args.action!r}")
+    if not is_q_power(args.exp_bound, field.q):
+        raise SystemExit2(f"--exp-bound {args.exp_bound} must be a power of q={field.q}")
+    pairs = generated_submonomials(args.arity, args.exp_bound, field)
+    return {"monomials": [{"monomial": str(m), "tree": str(t)} for m, t in pairs]}
 
 
 def cmd_schur_weyl(args):

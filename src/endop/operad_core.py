@@ -384,62 +384,109 @@ def _symmetric_action(act, els) -> CheckResult:
     return check
 
 
-def _equivariance(compose, act, small) -> CheckResult:
-    """(sigma.w1) o_i w2 = stretch.(w1 o_{sigma^-1(i)} w2), a row over i, and
-    w1 o_i (rho.w2) = embed.(w1 o_i w2), a row over rho, at a time.
+def _relabelled_rows(act, relabellings):
+    """The row act(tau, c) over tau in relabellings[k] through a memo: each
+    distinct (c, k) is acted on once, and the rows keep one copy of each
+    value."""
+    memo = {}
+    values = {}
 
-    Orbits are interned per arity of w1 and per block.  One table per block
-    (arity m of w1, arity n of w2) holds the row of composites x o_i y over
-    i for each pair (x, y) met: (w1, w2), (sigma.w1, w2) and (w1, rho.w2).
-    Orbits overlap across elements, so each row is computed once per block,
-    whichever element's orbit met it first.
+    def row(c, k):
+        r = memo.get((c, k))
+        if r is None:
+            r = memo[c, k] = _shared(values, [act(tau, c) for tau in relabellings[k]])
+        return r
+
+    return row
+
+
+def _first_in_order(lhs_rows, rhs_rows, sources):
+    """The first (sigma index t, slot i) at which the rows over sigma differ,
+    sigma-major as the instances are enumerated; the instance (t, i) is read
+    in the rows of slot k = sources[t][i - 1] of w1."""
+    return next(
+        (t, i)
+        for t, source in enumerate(sources)
+        for i, k in enumerate(source, 1)
+        if lhs_rows[k][t] != rhs_rows[k][t]
+    )
+
+
+def _equivariance(compose, act, small) -> CheckResult:
+    """(sigma.w1) o_i w2 = stretch.(w1 o_{sigma^-1(i)} w2) and w1 o_i (rho.w2)
+    = embed.(w1 o_i w2), compared as whole rows.
+
+    The orbits of the elements are interned once per arity.  In a block
+    (arity m of w1, arity n of w2) the composites are built as rows over the
+    w2 side, one per (x, i): over the distinct orbit elements of arity n for
+    x a w1, and over the w2s for x in an orbit but not a w1.  So each pair
+    (sigma.w1, w2) and (w1, rho.w2) is composed once.  Slot k of w1 is
+    moved to sigma(k) by sigma, with the relabelling stretch_at(sigma,
+    sigma(k), n): per (w1, w2, k) the left-hand row over sigma is read from
+    the composite rows by index, and the right-hand row is acted out once
+    per distinct (w1 o_k w2, k) of the block.  Per (w1, w2, i) the
+    left-hand row over rho is read by index, and the right-hand row acted
+    out once per distinct (w1 o_i w2, i).  A pair whose rows differ is
+    scanned again sigma-major, so that the witness is the first failing
+    instance in enumeration order.
     """
     check = CheckResult("equivariance")
-    for m, w1s in small.items():
-        if m < 1:
+    compose_row = _rows(compose)
+    # arity -> the elements, Sigma_n, ids of the elements and of their orbits,
+    # the values by id (the elements first), and the number of distinct elements
+    tables = {}
+    for n, ws in small.items():
+        if n < 1:
             continue
-        perms_m = all_perms(m)
+        perms = all_perms(n)
+        ids = {}
+        own = _intern(ids, ws)
+        distinct_ws = len(ids)
+        orbits = [_intern(ids, [act(sigma, w) for sigma in perms]) for w in ws]
+        tables[n] = ws, perms, own, orbits, list(ids), distinct_ws
+    for m, (w1s, perms_m, own1, orbits1, values1, distinct1) in tables.items():
         slots = range(1, m + 1)
-        orbits1 = [_orbit(act, perms_m, w1) for w1 in w1s]
-        for n, w2s in small.items():
-            if n < 1:
-                continue
-            perms_n = all_perms(n)
-            stretches = [[stretch_at(sigma, i, n) for i in slots] for sigma in perms_m]
-            sources = [[k - 1 for k in invert_perm(sigma)] for sigma in perms_m]
-            embeds = [[embed_at(m, i, rho) for rho in perms_n] for i in slots]
-            orbits2 = [_orbit(act, perms_n, w2) for w2 in w2s]
-            rows = {}
-
-            def composites(x, y):
-                row = rows.get((x, y))
-                if row is None:
-                    row = rows[x, y] = [compose(x, i, y) for i in slots]
-                return row
-
-            for w1, (orbit1, ids1) in zip(w1s, orbits1):
-                for w2, (orbit2, ids2) in zip(w2s, orbits2):
-                    base = composites(w1, w2)
-                    acted_rows = [composites(d, w2) for d in ids1]
-                    for sigma, o, stretch_row, source in zip(perms_m, orbit1, stretches, sources):
-                        lhs = acted_rows[o]
-                        rhs = [act(s, base[k]) for s, k in zip(stretch_row, source)]
-                        check.instances += m
-                        if lhs != rhs and check.witness is None:
-                            check.fail(
-                                "(sigma.{w1}) o_{i} {w2} fails for sigma={sigma}",
-                                w1=w1, i=_first_difference(lhs, rhs) + 1, w2=w2, sigma=sigma,
-                            )
-                    composed = [composites(w1, d) for d in ids2]
-                    for k, (i, c, embed_row) in enumerate(zip(slots, base, embeds)):
-                        lhs = [composed[o][k] for o in orbit2]
-                        rhs = [act(e, c) for e in embed_row]
-                        check.instances += len(perms_n)
-                        if lhs != rhs and check.witness is None:
-                            check.fail(
-                                "{w1} o_{i} (rho.{w2}) fails for rho={rho}",
-                                w1=w1, i=i, w2=w2, rho=perms_n[_first_difference(lhs, rhs)],
-                            )
+        targets = [[sigma[k - 1] - 1 for sigma in perms_m] for k in slots]
+        sources = [[k - 1 for k in invert_perm(sigma)] for sigma in perms_m]
+        for n, (w2s, perms_n, own2, orbits2, values2, distinct2) in tables.items():
+            stretched = _relabelled_rows(
+                act, [[stretch_at(sigma, sigma[k - 1], n) for sigma in perms_m] for k in slots]
+            )
+            embedded = _relabelled_rows(
+                act, [[embed_at(m, i, rho) for rho in perms_n] for i in slots]
+            )
+            w2_side = values2[:distinct2]
+            composites = [
+                [compose_row(x, i, values2 if a < distinct1 else w2_side) for i in slots]
+                for a, x in enumerate(values1)
+            ]
+            for w1, a, orbit1 in zip(w1s, own1, orbits1):
+                base = composites[a]
+                # per slot k, the rows (sigma.w1) o_sigma(k) w2 over sigma, by w2
+                acted = [
+                    list(zip(*[composites[o][t] for o, t in zip(orbit1, target)]))
+                    for target in targets
+                ]
+                for w2, b, orbit2 in zip(w2s, own2, orbits2):
+                    lhs = [rows[b] for rows in acted]
+                    rhs = [stretched(row[b], k) for k, row in enumerate(base)]
+                    check.instances += m * len(perms_m)
+                    if lhs != rhs and check.witness is None:
+                        t, i = _first_in_order(lhs, rhs, sources)
+                        check.fail(
+                            "(sigma.{w1}) o_{i} {w2} fails for sigma={sigma}",
+                            w1=w1, i=i, w2=w2, sigma=perms_m[t],
+                        )
+                    lhs = [tuple(map(row.__getitem__, orbit2)) for row in base]
+                    rhs = [embedded(row[b], k) for k, row in enumerate(base)]
+                    check.instances += m * len(perms_n)
+                    if lhs != rhs and check.witness is None:
+                        k = _first_difference(lhs, rhs)
+                        check.fail(
+                            "{w1} o_{i} (rho.{w2}) fails for rho={rho}",
+                            w1=w1, i=k + 1, w2=w2,
+                            rho=perms_n[_first_difference(lhs[k], rhs[k])],
+                        )
     return check
 
 
@@ -466,16 +513,18 @@ def check_operad_axioms(
     - parallel commutation: the columns and right-hand rows per block;
     - symmetric action: the product table of Sigma_n per arity, and the
       orbit sigma.w per element;
-    - equivariance: the orbits per arity and block, and one row of
-      composites x o_i y over i per pair (x, y) met in a block, shared by
-      the elements whose orbits meet it.
+    - equivariance: the orbits sigma.w per arity; per block, the rows of
+      composites x o_i y over the w2 side per (x, i), and the right-hand
+      rows over sigma per distinct (w1 o_k w2, k) and over rho per distinct
+      (w1 o_i w2, i).
 
     No table outlives the arity or block it is kept for.  Sequential
-    associativity runs slot-major, out of enumeration order, and keeps the
-    failing instance first in enumeration order.  So P.compose and P.act
-    must be functions of their inputs and return hashable elements.  The
-    associativity checks build their rows with P.compose.row when it exists
-    (see OperadDescriptor), and with one P.compose call per element if not.
+    associativity runs slot-major, and equivariance compares rows over sigma
+    slot by slot, both out of enumeration order; each keeps the failing
+    instance first in enumeration order.  So P.compose and P.act must be functions of their
+    inputs and return hashable elements.  The associativity and equivariance
+    checks build their rows with P.compose.row when it exists (see
+    OperadDescriptor), and with one P.compose call per element if not.
     """
     if triple_size_bound is None:
         triple_size_bound = size_bound

@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 import endop
+import endop.operad_core as operad_core
 from endop.errors import PositionOutOfRange
 from endop.faults import corrupted_operad
 from endop.operad_core import (
@@ -19,6 +20,7 @@ from endop.operad_core import (
     PermElement,
     _elements_by_arity,
     _equivariance,
+    _first_difference,
     _symmetric_action,
     check_algebra_action,
     check_operad_axioms,
@@ -477,6 +479,87 @@ def test_a_replaced_compose_falls_back_to_one_call_per_element():
     rep = check_operad_axioms(replace(word_operad(), compose=counting), 2, 2)
     assert rep.to_json_dict() == lawful.to_json_dict()
     assert rows > 0 and calls < 30_432
+
+
+def test_equivariance_builds_its_composites_with_the_row_kernel():
+    """Given a row kernel, equivariance makes no one-element compose call:
+    one row over the w2 side per (x, i) of each block, 5 * 1 rows for w1 of
+    arity 1 and 17 * 2 for arity 2, in the blocks n = 1 and n = 2."""
+    calls, rows = 0, 0
+
+    def counting(w1, i, w2):
+        nonlocal calls
+        calls += 1
+        return word_compose(w1, i, w2)
+
+    def row(w1, i, w2s):
+        nonlocal rows
+        rows += 1
+        return word_compose_row(w1, i, w2s)
+
+    counting.row = row
+    rep = _equivariance(counting, word_perm_act, _elements_by_arity(word_operad(), 2, 2))
+    assert (rep.instances, rep.witness) == (3127, None)
+    assert (calls, rows) == (0, 2 * (5 * 1 + 17 * 2))
+
+
+def test_act_calls_of_the_perm_check():
+    """Each orbit is acted out once per arity, and each right-hand row of
+    equivariance once per distinct composite and slot in its block: 5,037
+    act calls at (4, 0), where acting once per instance took 9,201."""
+    calls = 0
+
+    def counting(sigma, w):
+        nonlocal calls
+        calls += 1
+        return perm_act(sigma, w)
+
+    rep = check_operad_axioms(replace(perm_operad(), act=counting), 4, 0)
+    assert rep.passed
+    assert calls == 5_037
+
+
+# -- mutants of the equivariance fast path ---------------------------------------
+#
+# Each mutant is patched into operad_core and must change the equivariance
+# witness of the named ACTION_CASES entry, which the one-by-one oracle and
+# the pinned witness fix.
+
+def _rows_keyed_by_composite(act, relabellings):
+    """Wrong: the right-hand memo forgets the slot, so two slots whose
+    composites are equal share one row."""
+    memo = {}
+
+    def row(c, k):
+        if c not in memo:
+            memo[c] = tuple([act(tau, c) for tau in relabellings[k]])
+        return memo[c]
+
+    return row
+
+
+def _first_in_slot_major_order(lhs_rows, rhs_rows, sources):
+    """Wrong: names the first mismatch of the first failing slot k of w1, not
+    the first failing instance in enumeration order."""
+    k = _first_difference(lhs_rows, rhs_rows)
+    t = _first_difference(lhs_rows[k], rhs_rows[k])
+    return t, sources[t].index(k) + 1
+
+
+@pytest.mark.parametrize(
+    "name, mutant, case",
+    [
+        ("_relabelled_rows", _rows_keyed_by_composite, "perm"),
+        ("_relabelled_rows", _rows_keyed_by_composite, "word"),
+        ("_first_in_order", _first_in_slot_major_order, "perm-inverse-act"),
+    ],
+)
+def test_equivariance_mutants_are_caught(monkeypatch, name, mutant, case):
+    P, arity_bound, _, triple_size_bound, witnesses = ACTION_CASES[case]
+    small = _elements_by_arity(P, arity_bound, triple_size_bound)
+    assert _equivariance(P.compose, P.act, small).witness == witnesses[1]
+    monkeypatch.setattr(operad_core, name, mutant)
+    assert _equivariance(P.compose, P.act, small).witness != witnesses[1]
 
 
 def test_corrupted_perm_is_caught_with_named_witness():
