@@ -54,9 +54,6 @@ class FiniteFunction:
         if any(not 0 <= v < self.codomain_size for v in self.values):
             raise ValueError("table value out of range")
 
-    def __call__(self, x):
-        return self.values[x]
-
     def to_json(self):
         return list(self.values)
 
@@ -148,9 +145,6 @@ class FiniteMonoidTable:
         if inv is None:
             raise NotAGroup(f"element {a} has no inverse")
         return inv
-
-    def to_json(self):
-        return {"name": self.name, "unit": self.unit, "table": [list(r) for r in self.table]}
 
 
 # -- built-in tables ---------------------------------------------------------
@@ -567,11 +561,11 @@ def _graded_cells(obj, arity):
     return cells
 
 
-def _graded_homs(src, dst, domain, cap):
+def _graded_homs(src, dst, domain):
     """All degree-zero module maps src -> dst (matrices supported on
     degree-matched cells)."""
     cells = [(u, s) for u in range(len(dst)) for s in range(len(src)) if dst[u] == src[s]]
-    if domain.size ** len(cells) > cap:
+    if domain.size ** len(cells) > HOM_ENUMERATION_CAP:
         raise BoundExceeded(
             f"{domain.size}^{len(cells)} graded morphisms exceed the enumeration cap"
         )
@@ -605,7 +599,7 @@ def graded_central(domain, window: int, arity: int) -> NaturalityReport:
             (si, di, ExactMatrix(domain, f, len(src)))
             for si, src in enumerate(objects)
             for di, dst in enumerate(objects)
-            for f in _graded_homs(src, dst, domain, HOM_ENUMERATION_CAP)
+            for f in _graded_homs(src, dst, domain)
         ]
         shapes = [(len(obj), len(obj) ** n) for obj in objects]
         indexed = [(oi, t, tuple_index(T, len(objects[oi]))) for oi, t, T in cells]

@@ -208,11 +208,20 @@ def _intern(ids, values):
     return [ids.setdefault(v, len(ids)) for v in values]
 
 
-def _shared(values, row):
-    """row as a tuple of the first-met copies of its entries, adding new
-    values to the table values: rows so built keep one copy of each value,
-    and compare equal by identity when built from one table."""
-    return tuple([values.setdefault(v, v) for v in row])
+def _row_table(make_row, values):
+    """row(x, k) == tuple(make_row(x, k)), built the first time (x, k) is
+    asked for.  Its entries are the first-met copies in the table values, so
+    the rows of tables sharing values keep one copy of each value and
+    compare equal by identity."""
+    memo = {}
+
+    def row(x, k):
+        r = memo.get((x, k))
+        if r is None:
+            r = memo[x, k] = tuple([values.setdefault(v, v) for v in make_row(x, k)])
+        return r
+
+    return row
 
 
 def _rows(compose):
@@ -224,35 +233,25 @@ def _rows(compose):
 def _sequential_associativity(compose, small) -> CheckResult:
     """(w1 o_i w2) o_{i+j-1} w3 = w1 o_i (w2 o_j w3), a row over w3 at a time.
 
-    The composites w1 o_i w2 are computed once per arity n of w2, a row over
-    w2 per (m, i, w1) holding one copy of each value, and read in every
-    block (n, p).  In each block
-    (arity n of w2, arity p of w3) the inner composites
-    w2 o_j w3 are interned to small ints.  The block is then worked one arity
-    m of w1 and one slot i at a time, the i loop outside the w1 loop: w1 o_i
-    is applied once per (w1, i) to each distinct inner composite, so that a
-    right-hand row is read off by ids, and a left-hand row is computed once
-    per distinct (w1 o_i w2, k) of the (n, p, m, i), whichever w1 gave it.
-    The tables of an (n, p, m, i) are dropped with it.  Slot-major order is
-    not enumeration order, so of the failing instances of an (n, p, m) the
-    one first in enumeration order (smallest w1 index, then i) is kept, and
-    only it is formatted.
+    The rows w1 o_i w2 over w2 are a _row_table per arity n of w2, read in
+    every block (n, p).  In each block (arity n of w2, arity p of w3) the
+    inner composites w2 o_j w3 are interned to small ints.  The block is
+    then worked one arity m of w1 and one slot i at a time, the i loop
+    outside the w1 loop.  The outer row, w1 o_i applied to each distinct
+    inner composite, lives for one w1, and a right-hand row is read from it
+    by ids.  The left-hand rows are a _row_table of the (n, p, m, i), one
+    per distinct (w1 o_i w2, k) whichever w1 gave it, dropped with the
+    (n, p, m, i).  Slot-major order is not enumeration order, so of the
+    failing instances of an (n, p, m) the one first in enumeration order
+    (smallest w1 index, then i) is kept, and only it is formatted.
     """
     check = CheckResult("sequential-associativity")
     compose_row = _rows(compose)
     for n, w2s in small.items():
         if n < 1:
             continue
-        # w1 o_i w2 by m, then i, then w1: a row over w2, the same for every p
-        c12_values = {}
-        c12_table = {
-            m: [
-                [_shared(c12_values, compose_row(w1, i, w2s)) for w1 in w1s]
-                for i in range(1, m + 1)
-            ]
-            for m, w1s in small.items()
-            if m >= 1
-        }
+        # w1 o_i w2, a row over w2 per (w1, i), the same for every p
+        c12_rows = _row_table(lambda w1, i: compose_row(w1, i, w2s), {})
         for p, w3s in small.items():
             inner_ids = {}
             inner = [
@@ -264,18 +263,14 @@ def _sequential_associativity(compose, small) -> CheckResult:
                 if m < 1:
                     continue
                 first = None  # ((w1 index, i), witness fields) of the earliest failure
-                for i, c12_rows in enumerate(c12_table[m], 1):
-                    values = {}
-                    left_rows = {}
-                    for a, (w1, c12_row) in enumerate(zip(w1s, c12_rows)):
-                        outer = _shared(values, compose_row(w1, i, distinct))
-                        for w2, c12, inner_rows in zip(w2s, c12_row, inner):
+                for i in range(1, m + 1):
+                    left_rows = _row_table(lambda c12, k: compose_row(c12, k, w3s), {})
+                    for a, w1 in enumerate(w1s):
+                        outer = compose_row(w1, i, distinct)
+                        for w2, c12, inner_rows in zip(w2s, c12_rows(w1, i), inner):
                             for j, inner_row in enumerate(inner_rows, 1):
                                 k = i + j - 1
-                                lhs = left_rows.get((c12, k))
-                                if lhs is None:
-                                    lhs = _shared(values, compose_row(c12, k, w3s))
-                                    left_rows[c12, k] = lhs
+                                lhs = left_rows(c12, k)
                                 rhs = tuple(map(outer.__getitem__, inner_row))
                                 check.instances += len(w3s)
                                 if (
@@ -298,10 +293,10 @@ def _parallel_commutation(compose, small) -> CheckResult:
     at a time, in enumeration order.
 
     Per w1 the composites w1 o_j w3 are computed once for every j.  Two
-    tables live for one block (arity m of w1, arity p of w3, arity n of w2)
-    and are shared by all its (w1, i): the left column (w1 o_j w3) o_i w2
-    over w2, computed once per distinct (w1 o_j w3, i), and the right-hand
-    row (w1 o_i w2) o_{j+n-1} w3 over w3, once per distinct (w1 o_i w2,
+    _row_tables, sharing one table of values, live for one block (arity m
+    of w1, arity p of w3, arity n of w2) and serve all its (w1, i): the left
+    columns (w1 o_j w3) o_i w2 over w2, keyed by (w1 o_j w3, i), and the
+    right-hand rows (w1 o_i w2) o_{j+n-1} w3 over w3, keyed by (w1 o_i w2,
     j+n-1).  A left-hand row over w3 is read across the columns.
     """
     check = CheckResult("parallel-commutation")
@@ -314,26 +309,17 @@ def _parallel_commutation(compose, small) -> CheckResult:
                 if n < 1:
                     continue
                 values = {}
-                columns = {}
-                rhs_rows = {}
+                columns = _row_table(lambda d, i: compose_row(d, i, w2s), values)
+                rhs_rows = _row_table(lambda c, k: compose_row(c, k, w3s), values)
                 for w1 in w1s:
                     by_slot = {j: compose_row(w1, j, w3s) for j in range(2, m + 1)}
                     for i in range(1, m):
                         c1 = compose_row(w1, i, w2s)
                         for j in range(i + 1, m + 1):
                             k = j + n - 1
-                            row = []
-                            for d in by_slot[j]:
-                                column = columns.get((d, i))
-                                if column is None:
-                                    column = _shared(values, compose_row(d, i, w2s))
-                                    columns[d, i] = column
-                                row.append(column)
+                            row = [columns(d, i) for d in by_slot[j]]
                             for w2, c, lhs in zip(w2s, c1, zip(*row)):
-                                rhs = rhs_rows.get((c, k))
-                                if rhs is None:
-                                    rhs = _shared(values, compose_row(c, k, w3s))
-                                    rhs_rows[c, k] = rhs
+                                rhs = rhs_rows(c, k)
                                 check.instances += len(w3s)
                                 if lhs != rhs and check.witness is None:
                                     check.fail(
@@ -384,22 +370,6 @@ def _symmetric_action(act, els) -> CheckResult:
     return check
 
 
-def _relabelled_rows(act, relabellings):
-    """The row act(tau, c) over tau in relabellings[k] through a memo: each
-    distinct (c, k) is acted on once, and the rows keep one copy of each
-    value."""
-    memo = {}
-    values = {}
-
-    def row(c, k):
-        r = memo.get((c, k))
-        if r is None:
-            r = memo[c, k] = _shared(values, [act(tau, c) for tau in relabellings[k]])
-        return r
-
-    return row
-
-
 def _first_in_order(lhs_rows, rhs_rows, sources):
     """The first (sigma index t, slot i) at which the rows over sigma differ,
     sigma-major as the instances are enumerated; the instance (t, i) is read
@@ -423,12 +393,13 @@ def _equivariance(compose, act, small) -> CheckResult:
     (sigma.w1, w2) and (w1, rho.w2) is composed once.  Slot k of w1 is
     moved to sigma(k) by sigma, with the relabelling stretch_at(sigma,
     sigma(k), n): per (w1, w2, k) the left-hand row over sigma is read from
-    the composite rows by index, and the right-hand row is acted out once
-    per distinct (w1 o_k w2, k) of the block.  Per (w1, w2, i) the
-    left-hand row over rho is read by index, and the right-hand row acted
-    out once per distinct (w1 o_i w2, i).  A pair whose rows differ is
-    scanned again sigma-major, so that the witness is the first failing
-    instance in enumeration order.
+    the composite rows by index, and the right-hand row comes from a
+    _row_table of the block keyed by (w1 o_k w2, k).  Per (w1, w2, i) the
+    left-hand row over rho is read by index, and the right-hand row comes
+    from a second _row_table, keyed by (w1 o_i w2, i); the two share one
+    table of values.  A pair whose rows differ is scanned again
+    sigma-major, so that the witness is the first failing instance in
+    enumeration order.
     """
     check = CheckResult("equivariance")
     compose_row = _rows(compose)
@@ -449,12 +420,11 @@ def _equivariance(compose, act, small) -> CheckResult:
         targets = [[sigma[k - 1] - 1 for sigma in perms_m] for k in slots]
         sources = [[k - 1 for k in invert_perm(sigma)] for sigma in perms_m]
         for n, (w2s, perms_n, own2, orbits2, values2, distinct2) in tables.items():
-            stretched = _relabelled_rows(
-                act, [[stretch_at(sigma, sigma[k - 1], n) for sigma in perms_m] for k in slots]
-            )
-            embedded = _relabelled_rows(
-                act, [[embed_at(m, i, rho) for rho in perms_n] for i in slots]
-            )
+            stretches = [[stretch_at(sigma, sigma[k - 1], n) for sigma in perms_m] for k in slots]
+            embeddings = [[embed_at(m, i, rho) for rho in perms_n] for i in slots]
+            values = {}
+            stretched = _row_table(lambda c, k: [act(tau, c) for tau in stretches[k]], values)
+            embedded = _row_table(lambda c, k: [act(tau, c) for tau in embeddings[k]], values)
             w2_side = values2[:distinct2]
             composites = [
                 [compose_row(x, i, values2 if a < distinct1 else w2_side) for i in slots]
@@ -504,12 +474,15 @@ def check_operad_axioms(
     defaults to size_bound.  Arities with no elements are skipped.  Failures
     are report content, not exceptions; each failing check carries its first
     counterexample in enumeration order.  Every instance is compared, but a
-    value that repeats within a table is computed once.  The tables each
+    value that repeats within a table is computed once.  Each memoised
+    table of rows is a _row_table: a row is built the first time its key is
+    asked for, and the rows keep one copy of each value.  The tables each
     check shares (see the helpers):
 
     - sequential associativity: the rows w1 o_i w2 per arity of w2; the
-      interned inner composites w2 o_j w3 per block of arities; the outer
-      composites w1 o_i d and the left-hand rows per block and slot;
+      interned inner composites w2 o_j w3 per block of arities; the
+      left-hand rows per block and slot.  The outer row w1 o_i d over the
+      distinct inner composites d is not kept past its w1;
     - parallel commutation: the columns and right-hand rows per block;
     - symmetric action: the product table of Sigma_n per arity, and the
       orbit sigma.w per element;

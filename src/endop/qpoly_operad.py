@@ -427,9 +427,6 @@ class MultilinearityVerdict:
     multilinear: bool
     witness: str | None = None
 
-    def __bool__(self):
-        return self.multilinear
-
 
 def multilinearity_check(f) -> MultilinearityVerdict:
     """Decide whether Ev_f is linear in each slot, testing in the free

@@ -502,7 +502,7 @@ def enumerated_graded_central(domain, window, n):
     homs = 0
     for si, src in enumerate(objects):
         for di, dst in enumerate(objects):
-            for f in nat._graded_homs(src, dst, domain, nat.HOM_ENUMERATION_CAP):
+            for f in nat._graded_homs(src, dst, domain):
                 homs += 1
                 # f o phi_src == phi_dst o f^(tensor n) at output u, input T
                 forms = []
@@ -665,7 +665,7 @@ def test_graded_central_basis_is_the_stacked_nullspace(domain, window, arity):
         (si, di, ExactMatrix(domain, f, len(src)))
         for si, src in enumerate(objects)
         for di, dst in enumerate(objects)
-        for f in nat._graded_homs(src, dst, domain, nat.HOM_ENUMERATION_CAP)
+        for f in nat._graded_homs(src, dst, domain)
     ]
     rep = graded_central(domain, window, arity)
     assert rep.survivors == _stacked_nullspace(domain, cells, morphisms, arity)

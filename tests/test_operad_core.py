@@ -271,57 +271,60 @@ def three_element_checks_one_by_one(P, arity_bound, size_bound):
     return [(seq, seq_witness), (par, par_witness)]
 
 
+def _flip_unary(w1, i, w2):
+    # wrong: a unary word plugged into a wider one is inverted first
+    return word_compose(w1, i, w2.inverse() if w2.arity == 1 and w1.arity >= 2 else w2)
+
+
+def _two_slot_fault(w1, i, w2):
+    # wrong: x1 x2 o_2 and x2 x1 o_1 invert w2 first; x2 x1 comes later
+    # in enumeration order, but its slot 1 is visited before slot 2
+    if (w1.letters, i) in {((1, 2), 2), ((2, 1), 1)}:
+        w2 = w2.inverse()
+    return word_compose(w1, i, w2)
+
+
+THREE_ELEMENT_CASES = [  # operad, arity bound, size bound, pinned witnesses
+    (word_operad(), 2, 1, [None, None]),
+    # arity 3 makes left rows (w1 o_i w2) o_k w3 repeat across w1
+    (word_operad(), 3, 1, [None, None]),
+    (
+        corrupted_operad("word-reduce"), 2, 2,
+        [
+            "(x1 x2 o_2 x1^-1) o_2 e != x1 x2 o_2 (x1^-1 o_1 e)",
+            "(x1 x2^-1 o_2 e) o_1 x1 != (x1 x2^-1 o_1 x1) o_2 e",
+        ],
+    ),
+    (
+        replace(word_operad(), compose=_flip_unary), 2, 2,
+        # the sequential failure is the second instance of its row
+        [
+            "(x1 o_1 x1) o_1 x1 != x1 o_1 (x1 o_1 x1)",
+            "(x1 o_2 e) o_1 x1 != (x1 o_1 x1) o_2 e",
+        ],
+    ),
+    (
+        replace(word_operad(), compose=_two_slot_fault), 2, 2,
+        [
+            "(x1 x2 o_2 x1^-1) o_2 x1 != x1 x2 o_2 (x1^-1 o_1 x1)",
+            "(x2 x1 o_2 e) o_1 x1 != (x2 x1 o_1 x1) o_2 e",
+        ],
+    ),
+    (
+        corrupted_operad("perm-compose"), 3, 0,
+        [
+            "(pi3[3] o_1 pi1[1]) o_1 pi1[1] != pi3[3] o_1 (pi1[1] o_1 pi1[1])",
+            "(pi2[2] o_2 pi2[2]) o_1 pi1[1] != (pi2[2] o_1 pi1[1]) o_2 pi2[2]",
+        ],
+    ),
+]
+
+
 def test_three_element_checks_match_one_by_one_oracle():
     """The row-wise checks compare every instance and name the first
     failing one, also when it lies inside a row over w3, and also when the
     slot-major sequential check meets a later failure first."""
-
-    def flip_unary(w1, i, w2):
-        # wrong: a unary word plugged into a wider one is inverted first
-        return word_compose(w1, i, w2.inverse() if w2.arity == 1 and w1.arity >= 2 else w2)
-
-    def two_slot_fault(w1, i, w2):
-        # wrong: x1 x2 o_2 and x2 x1 o_1 invert w2 first; x2 x1 comes later
-        # in enumeration order, but its slot 1 is visited before slot 2
-        if (w1.letters, i) in {((1, 2), 2), ((2, 1), 1)}:
-            w2 = w2.inverse()
-        return word_compose(w1, i, w2)
-
-    cases = [  # operad, arity bound, size bound, pinned witnesses
-        (word_operad(), 2, 1, [None, None]),
-        # arity 3 makes left rows (w1 o_i w2) o_k w3 repeat across w1
-        (word_operad(), 3, 1, [None, None]),
-        (
-            corrupted_operad("word-reduce"), 2, 2,
-            [
-                "(x1 x2 o_2 x1^-1) o_2 e != x1 x2 o_2 (x1^-1 o_1 e)",
-                "(x1 x2^-1 o_2 e) o_1 x1 != (x1 x2^-1 o_1 x1) o_2 e",
-            ],
-        ),
-        (
-            replace(word_operad(), compose=flip_unary), 2, 2,
-            # the sequential failure is the second instance of its row
-            [
-                "(x1 o_1 x1) o_1 x1 != x1 o_1 (x1 o_1 x1)",
-                "(x1 o_2 e) o_1 x1 != (x1 o_1 x1) o_2 e",
-            ],
-        ),
-        (
-            replace(word_operad(), compose=two_slot_fault), 2, 2,
-            [
-                "(x1 x2 o_2 x1^-1) o_2 x1 != x1 x2 o_2 (x1^-1 o_1 x1)",
-                "(x2 x1 o_2 e) o_1 x1 != (x2 x1 o_1 x1) o_2 e",
-            ],
-        ),
-        (
-            corrupted_operad("perm-compose"), 3, 0,
-            [
-                "(pi3[3] o_1 pi1[1]) o_1 pi1[1] != pi3[3] o_1 (pi1[1] o_1 pi1[1])",
-                "(pi2[2] o_2 pi2[2]) o_1 pi1[1] != (pi2[2] o_1 pi1[1]) o_2 pi2[2]",
-            ],
-        ),
-    ]
-    for P, arity_bound, size_bound, witnesses in cases:
+    for P, arity_bound, size_bound, witnesses in THREE_ELEMENT_CASES:
         rep = check_operad_axioms(P, arity_bound, size_bound)
         got = [(c.instances, c.witness) for c in rep.checks[2:4]]
         assert got == three_element_checks_one_by_one(P, arity_bound, size_bound), P.name
@@ -519,21 +522,24 @@ def test_act_calls_of_the_perm_check():
     assert calls == 5_037
 
 
-# -- mutants of the equivariance fast path ---------------------------------------
+# -- mutants of the row tables and of the witness order --------------------------
 #
-# Each mutant is patched into operad_core and must change the equivariance
-# witness of the named ACTION_CASES entry, which the one-by-one oracle and
-# the pinned witness fix.
+# Each mutant is patched into operad_core and must change a witness that a
+# one-by-one oracle and a pinned witness fix: the equivariance witness of the
+# named ACTION_CASES entry, or the three-element checks of every
+# THREE_ELEMENT_CASES entry.  Equivalent, so not pinned: a _row_table whose
+# rows keep fresh copies of their entries instead of first-met ones, since
+# rows compare by value and identity is only a shortcut.
 
-def _rows_keyed_by_composite(act, relabellings):
-    """Wrong: the right-hand memo forgets the slot, so two slots whose
-    composites are equal share one row."""
+def _rows_keyed_by_x_alone(make_row, values):
+    """Wrong: the memo forgets the second key, so (x, k) and (x, k') with
+    k != k' share one row."""
     memo = {}
 
-    def row(c, k):
-        if c not in memo:
-            memo[c] = tuple([act(tau, c) for tau in relabellings[k]])
-        return memo[c]
+    def row(x, k):
+        if x not in memo:
+            memo[x] = tuple(make_row(x, k))
+        return memo[x]
 
     return row
 
@@ -549,8 +555,8 @@ def _first_in_slot_major_order(lhs_rows, rhs_rows, sources):
 @pytest.mark.parametrize(
     "name, mutant, case",
     [
-        ("_relabelled_rows", _rows_keyed_by_composite, "perm"),
-        ("_relabelled_rows", _rows_keyed_by_composite, "word"),
+        ("_row_table", _rows_keyed_by_x_alone, "perm"),
+        ("_row_table", _rows_keyed_by_x_alone, "word"),
         ("_first_in_order", _first_in_slot_major_order, "perm-inverse-act"),
     ],
 )
@@ -560,6 +566,14 @@ def test_equivariance_mutants_are_caught(monkeypatch, name, mutant, case):
     assert _equivariance(P.compose, P.act, small).witness == witnesses[1]
     monkeypatch.setattr(operad_core, name, mutant)
     assert _equivariance(P.compose, P.act, small).witness != witnesses[1]
+
+
+def test_three_element_checks_catch_a_row_memo_keyed_by_x_alone(monkeypatch):
+    monkeypatch.setattr(operad_core, "_row_table", _rows_keyed_by_x_alone)
+    for P, arity_bound, size_bound, _ in THREE_ELEMENT_CASES:
+        rep = check_operad_axioms(P, arity_bound, size_bound)
+        got = [(c.instances, c.witness) for c in rep.checks[2:4]]
+        assert got != three_element_checks_one_by_one(P, arity_bound, size_bound), P.name
 
 
 def test_corrupted_perm_is_caught_with_named_witness():
