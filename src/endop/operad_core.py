@@ -19,6 +19,7 @@ from .errors import PositionOutOfRange
 from .perms import all_perms, compose_perms, embed_at, invert_perm, require_perm, stretch_at
 
 PERM_TAG = -2  # the first entry of every PermElement tuple
+ROW_STORE_CAP = 1 << 12  # values a row store may carry past a block boundary
 _new = tuple.__new__
 
 
@@ -230,47 +231,57 @@ def _rows(compose):
     return getattr(compose, "row", None) or (lambda x, k, ys: [compose(x, k, y) for y in ys])
 
 
-def _sequential_associativity(compose, small) -> CheckResult:
+def _row_store(compose_row, small):
+    """store(n, p) gives the _row_tables over arities n and p, sharing one
+    table of values; the one over p is row(x, k) == tuple(compose_row(x, k,
+    small[p])).  Called at each block boundary, it first drops every row and
+    value once there are more than ROW_STORE_CAP values."""
+    values, tables = {}, {}
+
+    def store(n, p):
+        if len(values) > ROW_STORE_CAP or not tables:
+            values.clear()
+            for q, ys in small.items():
+                tables[q] = _row_table(lambda x, k, ys=ys: compose_row(x, k, ys), values)
+        return tables[n], tables[p]
+
+    return store
+
+
+def _sequential_associativity(compose_row, small, store) -> CheckResult:
     """(w1 o_i w2) o_{i+j-1} w3 = w1 o_i (w2 o_j w3), a row over w3 at a time.
 
-    The rows w1 o_i w2 over w2 are a _row_table per arity n of w2, read in
-    every block (n, p).  In each block (arity n of w2, arity p of w3) the
-    inner composites w2 o_j w3 are interned to small ints.  The block is
-    then worked one arity m of w1 and one slot i at a time, the i loop
-    outside the w1 loop.  The outer row, w1 o_i applied to each distinct
-    inner composite, lives for one w1, and a right-hand row is read from it
-    by ids.  The left-hand rows are a _row_table of the (n, p, m, i), one
-    per distinct (w1 o_i w2, k) whichever w1 gave it, dropped with the
-    (n, p, m, i).  Slot-major order is not enumeration order, so of the
-    failing instances of an (n, p, m) the one first in enumeration order
-    (smallest w1 index, then i) is kept, and only it is formatted.
+    In each block (arity n of w2, arity p of w3) the inner composites w2 o_j
+    w3 are interned to small ints, and the block is worked one arity m of w1
+    and one slot i at a time, the i loop outside the w1 loop.  Each (n, p)
+    and (n, p, m, i) is a block boundary of the row store, which gives every
+    row but the outer one, w1 o_i d over the distinct inner composites d:
+    that lives for one w1, and a right-hand row is read from it by ids.
+    Slot-major order is not enumeration order, so of the failing instances
+    of an (n, p, m) the one first in enumeration order (smallest w1 index,
+    then i) is kept, and only it is formatted.
     """
     check = CheckResult("sequential-associativity")
-    compose_row = _rows(compose)
     for n, w2s in small.items():
         if n < 1:
             continue
-        # w1 o_i w2, a row over w2 per (w1, i), the same for every p
-        c12_rows = _row_table(lambda w1, i: compose_row(w1, i, w2s), {})
         for p, w3s in small.items():
             inner_ids = {}
-            inner = [
-                [_intern(inner_ids, compose_row(w2, j, w3s)) for j in range(1, n + 1)]
-                for w2 in w2s
-            ]
+            over_w2, over_w3 = store(n, p)
+            inner = [[_intern(inner_ids, over_w3(w2, j)) for j in range(1, n + 1)] for w2 in w2s]
             distinct = list(inner_ids)
             for m, w1s in small.items():
                 if m < 1:
                     continue
                 first = None  # ((w1 index, i), witness fields) of the earliest failure
                 for i in range(1, m + 1):
-                    left_rows = _row_table(lambda c12, k: compose_row(c12, k, w3s), {})
+                    over_w2, over_w3 = store(n, p)
                     for a, w1 in enumerate(w1s):
                         outer = compose_row(w1, i, distinct)
-                        for w2, c12, inner_rows in zip(w2s, c12_rows(w1, i), inner):
+                        for w2, c12, inner_rows in zip(w2s, over_w2(w1, i), inner):
                             for j, inner_row in enumerate(inner_rows, 1):
                                 k = i + j - 1
-                                lhs = left_rows(c12, k)
+                                lhs = over_w3(c12, k)
                                 rhs = tuple(map(outer.__getitem__, inner_row))
                                 check.instances += len(w3s)
                                 if (
@@ -288,19 +299,15 @@ def _sequential_associativity(compose, small) -> CheckResult:
     return check
 
 
-def _parallel_commutation(compose, small) -> CheckResult:
+def _parallel_commutation(small, store) -> CheckResult:
     """(w1 o_j w3) o_i w2 = (w1 o_i w2) o_{j+n-1} w3 for i < j, a row over w3
     at a time, in enumeration order.
 
-    Per w1 the composites w1 o_j w3 are computed once for every j.  Two
-    _row_tables, sharing one table of values, live for one block (arity m
-    of w1, arity p of w3, arity n of w2) and serve all its (w1, i): the left
-    columns (w1 o_j w3) o_i w2 over w2, keyed by (w1 o_j w3, i), and the
-    right-hand rows (w1 o_i w2) o_{j+n-1} w3 over w3, keyed by (w1 o_i w2,
-    j+n-1).  A left-hand row over w3 is read across the columns.
+    Every row is the store's, and each block (arity m of w1, arity p of w3,
+    arity n of w2) is a block boundary of it.  A left-hand row over w3 is
+    read across the columns (w1 o_j w3) o_i w2 over w2.
     """
     check = CheckResult("parallel-commutation")
-    compose_row = _rows(compose)
     for m, w1s in small.items():
         if m < 2:
             continue
@@ -308,18 +315,15 @@ def _parallel_commutation(compose, small) -> CheckResult:
             for n, w2s in small.items():
                 if n < 1:
                     continue
-                values = {}
-                columns = _row_table(lambda d, i: compose_row(d, i, w2s), values)
-                rhs_rows = _row_table(lambda c, k: compose_row(c, k, w3s), values)
+                over_w2, over_w3 = store(n, p)
                 for w1 in w1s:
-                    by_slot = {j: compose_row(w1, j, w3s) for j in range(2, m + 1)}
                     for i in range(1, m):
-                        c1 = compose_row(w1, i, w2s)
+                        c1 = over_w2(w1, i)
                         for j in range(i + 1, m + 1):
                             k = j + n - 1
-                            row = [columns(d, i) for d in by_slot[j]]
+                            row = [over_w2(d, i) for d in over_w3(w1, j)]
                             for w2, c, lhs in zip(w2s, c1, zip(*row)):
-                                rhs = rhs_rows(c, k)
+                                rhs = over_w3(c, k)
                                 check.instances += len(w3s)
                                 if lhs != rhs and check.witness is None:
                                     check.fail(
@@ -474,30 +478,23 @@ def check_operad_axioms(
     defaults to size_bound.  Arities with no elements are skipped.  Failures
     are report content, not exceptions; each failing check carries its first
     counterexample in enumeration order.  Every instance is compared, but a
-    value that repeats within a table is computed once.  Each memoised
-    table of rows is a _row_table: a row is built the first time its key is
-    asked for, and the rows keep one copy of each value.  The tables each
-    check shares (see the helpers):
+    value that repeats within a table is computed once: each memoised table
+    of rows is a _row_table, built on first use, whose rows keep one copy of
+    each value.  Both associativity checks read their rows, all but one
+    transient row per w1, from one row store, dropped at a block boundary
+    once it holds more than ROW_STORE_CAP values.  The action checks keep
+    the product table of Sigma_n and the orbits sigma.w per arity, and
+    equivariance its rows of composites per block (see the helpers).  No
+    table outlives the call, and none but the row store outlives the arity
+    or block it is kept for.
 
-    - sequential associativity: the rows w1 o_i w2 per arity of w2; the
-      interned inner composites w2 o_j w3 per block of arities; the
-      left-hand rows per block and slot.  The outer row w1 o_i d over the
-      distinct inner composites d is not kept past its w1;
-    - parallel commutation: the columns and right-hand rows per block;
-    - symmetric action: the product table of Sigma_n per arity, and the
-      orbit sigma.w per element;
-    - equivariance: the orbits sigma.w per arity; per block, the rows of
-      composites x o_i y over the w2 side per (x, i), and the right-hand
-      rows over sigma per distinct (w1 o_k w2, k) and over rho per distinct
-      (w1 o_i w2, i).
-
-    No table outlives the arity or block it is kept for.  Sequential
-    associativity runs slot-major, and equivariance compares rows over sigma
-    slot by slot, both out of enumeration order; each keeps the failing
-    instance first in enumeration order.  So P.compose and P.act must be functions of their
-    inputs and return hashable elements.  The associativity and equivariance
-    checks build their rows with P.compose.row when it exists (see
-    OperadDescriptor), and with one P.compose call per element if not.
+    Sequential associativity runs slot-major, and equivariance compares rows
+    over sigma slot by slot, both out of enumeration order; each keeps the
+    failing instance first in enumeration order.  So P.compose and P.act
+    must be functions of their inputs and return hashable elements.  The
+    associativity and equivariance checks build their rows with
+    P.compose.row when it exists (see OperadDescriptor), and with one
+    P.compose call per element if not.
     """
     if triple_size_bound is None:
         triple_size_bound = size_bound
@@ -525,8 +522,11 @@ def check_operad_axioms(
                     unit_right.fail("{w} o_{i} 1 = {got}", w=w, i=i, got=got)
     report.checks.append(unit_left)
     report.checks.append(unit_right)
-    report.checks.append(_sequential_associativity(compose, small))
-    report.checks.append(_parallel_commutation(compose, small))
+    compose_row = _rows(compose)
+    store = _row_store(compose_row, small)
+    report.checks.append(_sequential_associativity(compose_row, small, store))
+    report.checks.append(_parallel_commutation(small, store))
+    del store  # not kept through the action checks
 
     report.checks.append(_symmetric_action(P.act, els))
     report.checks.append(_equivariance(compose, P.act, small))

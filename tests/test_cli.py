@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endop import acceptance, cli
+from endop.faults import FAULT_NAMES
 from endop.naturality import SMALL_MONOID_TABLES
 
 SCHEMA = json.loads(
@@ -217,6 +218,18 @@ ARGVS = st.one_of(
         st.integers(0, 2),
         st.booleans(),
     ),
+    # `all` runs the whole suite, so only in malformed forms: a bad fault
+    # name or an unknown argument, which exit 2 before anything runs
+    st.builds(
+        lambda good, bad: ["all", *good, bad],
+        st.lists(st.sampled_from(["--json", "--inject-fault=perm-compose"]), max_size=2),
+        st.one_of(
+            st.text(max_size=8)
+            .filter(lambda name: name not in FAULT_NAMES)
+            .map(lambda name: "--inject-fault=" + name),
+            st.sampled_from(["--inject-fault", "--no-such-flag", "--seed=1", "-x", "--json=1", "extra"]),
+        ),
+    ),
 )
 
 
@@ -230,6 +243,8 @@ def test_fuzzed_argv_keeps_the_exit_contract(argv):
         except SystemExit as exc:  # argparse's own usage errors
             code = exc.code
     assert "Traceback" not in err.getvalue()
+    if argv[0] == "all":
+        assert code == 2
     if code == 2:
         assert out.getvalue() == ""
     else:

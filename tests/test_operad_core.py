@@ -454,8 +454,8 @@ def test_action_checks_match_one_by_one_oracle(case):
 def test_a_replaced_compose_falls_back_to_one_call_per_element():
     """The row kernel is an attribute of word_compose, so a descriptor whose
     compose is replaced, as by a fault or a counting wrapper, is checked one
-    composite per call: as many calls as the checker made before it had a
-    kernel, and the same report as through the kernel."""
+    composite per call: one call per entry of the rows a kernel builds, and
+    the same report as through the kernel."""
     calls = 0
 
     def counting(w1, i, w2):
@@ -465,23 +465,56 @@ def test_a_replaced_compose_falls_back_to_one_call_per_element():
 
     lawful = check_operad_axioms(word_operad(), 2, 2)
     rep = check_operad_axioms(replace(word_operad(), compose=counting), 2, 2)
-    assert calls == 30_432
+    assert calls == 21_194
     assert rep.passed and rep.to_json_dict() == lawful.to_json_dict()
     assert word_operad().compose.row is word_compose_row
     assert not hasattr(corrupted_operad("word-reduce").compose, "row")
 
-    # given a row kernel, the same compose has its rows built by it
-    calls, rows = 0, 0
+    # given a row kernel, the same compose has its rows built by it; only
+    # the unit laws still make one call per composite
+    calls, rows, entries = 0, 0, 0
+
+    def row(w1, i, w2s):
+        nonlocal rows, entries
+        rows += 1
+        entries += len(w2s)
+        return word_compose_row(w1, i, w2s)
+
+    counting.row = row
+    rep = check_operad_axioms(replace(word_operad(), compose=counting), 2, 2)
+    assert rep.to_json_dict() == lawful.to_json_dict()
+    assert rows > 0 and calls + entries == 21_194
+
+
+def rows_built(arity_bound, size_bound):
+    """The row-kernel calls of the word check at the given bounds."""
+    rows = 0
+
+    def compose(w1, i, w2):
+        return word_compose(w1, i, w2)
 
     def row(w1, i, w2s):
         nonlocal rows
         rows += 1
         return word_compose_row(w1, i, w2s)
 
-    counting.row = row
-    rep = check_operad_axioms(replace(word_operad(), compose=counting), 2, 2)
-    assert rep.to_json_dict() == lawful.to_json_dict()
-    assert rows > 0 and calls < 30_432
+    compose.row = row
+    assert check_operad_axioms(replace(word_operad(), compose=compose), arity_bound, size_bound).passed
+    return rows
+
+
+def test_a_row_store_dropped_at_every_block_boundary_changes_no_report(monkeypatch):
+    """The row store is a memo: with ROW_STORE_CAP = 0 it is dropped at every
+    block boundary, which only builds rows again.  The three-element checks
+    still match their one-by-one oracle and both fault operads keep their
+    pinned witnesses.  Under the default cap the store of the word check at
+    (2, 2) is never dropped."""
+    assert rows_built(2, 2) == 1_804
+    monkeypatch.setattr(operad_core, "ROW_STORE_CAP", 0)
+    assert rows_built(2, 2) == 2_894
+    test_three_element_checks_match_one_by_one_oracle()
+    test_corrupted_perm_is_caught_with_named_witness()
+    test_corrupted_word_reduction_is_caught()
 
 
 def test_equivariance_builds_its_composites_with_the_row_kernel():
@@ -529,7 +562,8 @@ def test_act_calls_of_the_perm_check():
 # named ACTION_CASES entry, or the three-element checks of every
 # THREE_ELEMENT_CASES entry.  Equivalent, so not pinned: a _row_table whose
 # rows keep fresh copies of their entries instead of first-met ones, since
-# rows compare by value and identity is only a shortcut.
+# rows compare by value and identity is only a shortcut; and a row store
+# dropped at more or fewer block boundaries (see the ROW_STORE_CAP test).
 
 def _rows_keyed_by_x_alone(make_row, values):
     """Wrong: the memo forgets the second key, so (x, k) and (x, k') with
@@ -542,6 +576,23 @@ def _rows_keyed_by_x_alone(make_row, values):
         return memo[x]
 
     return row
+
+
+def _store_with_one_memo(compose_row, small):
+    """Wrong: one memo for every arity, so the row of (x, k) first built over
+    the elements of one arity is served over every arity."""
+    memo = {}
+
+    def table(ys):
+        def row(x, k):
+            if (x, k) not in memo:
+                memo[x, k] = tuple(compose_row(x, k, ys))
+            return memo[x, k]
+
+        return row
+
+    tables = {p: table(ys) for p, ys in small.items()}
+    return lambda n, p: (tables[n], tables[p])
 
 
 def _first_in_slot_major_order(lhs_rows, rhs_rows, sources):
@@ -574,6 +625,15 @@ def test_three_element_checks_catch_a_row_memo_keyed_by_x_alone(monkeypatch):
         rep = check_operad_axioms(P, arity_bound, size_bound)
         got = [(c.instances, c.witness) for c in rep.checks[2:4]]
         assert got != three_element_checks_one_by_one(P, arity_bound, size_bound), P.name
+
+
+def test_three_element_checks_catch_a_row_store_with_one_memo_for_every_arity(monkeypatch):
+    """Every case fails where its one-by-one oracle reports: a row read over
+    the elements of the wrong arity hands a composite a slot it lacks."""
+    monkeypatch.setattr(operad_core, "_row_store", _store_with_one_memo)
+    for P, arity_bound, size_bound, _ in THREE_ELEMENT_CASES:
+        with pytest.raises(PositionOutOfRange):
+            check_operad_axioms(P, arity_bound, size_bound)
 
 
 def test_corrupted_perm_is_caught_with_named_witness():
