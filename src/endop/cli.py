@@ -133,10 +133,7 @@ def cmd_central_set(args):
 def cmd_central_mod(args):
     dom = parse_ring(args.ring)
     _non_negative(rank=args.rank, arity=args.arity)
-    d = central_module(dom, args.rank, args.arity).to_json_dict()
-    if d.get("basis") is None:
-        d.pop("basis", None)
-    return d
+    return central_module(dom, args.rank, args.arity).to_json_dict()
 
 
 def cmd_graded(args):

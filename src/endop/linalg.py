@@ -12,6 +12,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 from .errors import BoundExceeded, DomainMismatch, NotInvertible, UnsupportedDomain
@@ -566,6 +567,13 @@ def all_invertible_matrices(domain, d: int):
     return [m for m in all_square_matrices(domain, d) if matrix_rank(m) == d]
 
 
+@cache
+def _certificate_field():
+    """Z/(2^31 - 1), built once on first use: its primality test is a trial
+    division of some milliseconds, too slow for every call and for import."""
+    return IntegersMod(2 ** 31 - 1)
+
+
 def _certified_commutant(d, n, powers, count, cells):
     """The S_n image's `span_basis` if it is proven to be the commutant of
     powers[:count] over Q, else None.  For integer generators the commutant
@@ -587,7 +595,7 @@ def _certified_commutant(d, n, powers, count, cells):
             [B[image[i]][j] for j in image] != B[i] for B in ints for i in range(size)
         ):
             raise VerificationFailed(f"{where}: permutation operator {k} fails to commute")
-    field = IntegersMod(2 ** 31 - 1)
+    field = _certificate_field()
     conditions = [(0, 0, M, M) for M in (ExactMatrix(field, B, size) for B in ints[:count])]
     upper = len(_intersect_conditions(conditions, cells, field))
     if upper < len(basis):

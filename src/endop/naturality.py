@@ -529,7 +529,8 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
         ]
     if not complete:
         extra["method"] = "generator-based (sound but possibly over-approximating)"
-    extra["basis"] = HomBasis(width, r, tuple(survivors), domain) if domain.is_field else None
+    if domain.is_field:
+        extra["basis"] = HomBasis(width, r, tuple(survivors), domain)
     return NaturalityReport(
         context="central-module",
         arity=n,

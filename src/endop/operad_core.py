@@ -19,7 +19,7 @@ from .errors import PositionOutOfRange
 from .perms import all_perms, compose_perms, embed_at, invert_perm, require_perm, stretch_at
 
 PERM_TAG = -2  # the first entry of every PermElement tuple
-ROW_STORE_CAP = 1 << 12  # values a row store may carry past a block boundary
+ROW_STORE_CAP = 1 << 13  # values a row store holds before it drops them all
 _new = tuple.__new__
 
 
@@ -232,34 +232,36 @@ def _rows(compose):
 
 
 def _row_store(compose_row, small):
-    """store(n, p) gives the _row_tables over arities n and p, sharing one
-    table of values; the one over p is row(x, k) == tuple(compose_row(x, k,
-    small[p])).  Called at each block boundary, it first drops every row and
-    value once there are more than ROW_STORE_CAP values."""
-    values, tables = {}, {}
+    """row(x, k, p) == tuple(compose_row(x, k, small[p])), built the first
+    time it is asked for.  There is one memo per arity p, and all share one
+    table of values, so the rows keep one copy of each value.  Before a row
+    is built while the values number more than ROW_STORE_CAP, every row and
+    value is dropped: the store is bounded at every row it builds."""
+    values = {}
+    memos = {p: {} for p in small}
 
-    def store(n, p):
-        if len(values) > ROW_STORE_CAP or not tables:
-            values.clear()
-            for q, ys in small.items():
-                tables[q] = _row_table(lambda x, k, ys=ys: compose_row(x, k, ys), values)
-        return tables[n], tables[p]
+    def row(x, k, p):
+        memo = memos[p]
+        r = memo.get((x, k))
+        if r is None:
+            if len(values) > ROW_STORE_CAP:
+                values.clear()
+                for other in memos.values():
+                    other.clear()
+            r = memo[x, k] = tuple([values.setdefault(v, v) for v in compose_row(x, k, small[p])])
+        return r
 
-    return store
+    return row
 
 
-def _sequential_associativity(compose_row, small, store) -> CheckResult:
-    """(w1 o_i w2) o_{i+j-1} w3 = w1 o_i (w2 o_j w3), a row over w3 at a time.
+def _sequential_associativity(compose_row, small, row) -> CheckResult:
+    """(w1 o_i w2) o_{i+j-1} w3 = w1 o_i (w2 o_j w3), a row over w3 at a time,
+    in enumeration order.
 
     In each block (arity n of w2, arity p of w3) the inner composites w2 o_j
-    w3 are interned to small ints, and the block is worked one arity m of w1
-    and one slot i at a time, the i loop outside the w1 loop.  Each (n, p)
-    and (n, p, m, i) is a block boundary of the row store, which gives every
-    row but the outer one, w1 o_i d over the distinct inner composites d:
-    that lives for one w1, and a right-hand row is read from it by ids.
-    Slot-major order is not enumeration order, so of the failing instances
-    of an (n, p, m) the one first in enumeration order (smallest w1 index,
-    then i) is kept, and only it is formatted.
+    w3 are interned to small ints.  Every row comes from the row store but
+    the outer one, w1 o_i d over the distinct inner composites d: that lives
+    for one (w1, i), and a right-hand row is read from it by ids.
     """
     check = CheckResult("sequential-associativity")
     for n, w2s in small.items():
@@ -267,45 +269,36 @@ def _sequential_associativity(compose_row, small, store) -> CheckResult:
             continue
         for p, w3s in small.items():
             inner_ids = {}
-            over_w2, over_w3 = store(n, p)
-            inner = [[_intern(inner_ids, over_w3(w2, j)) for j in range(1, n + 1)] for w2 in w2s]
+            inner = [[_intern(inner_ids, row(w2, j, p)) for j in range(1, n + 1)] for w2 in w2s]
             distinct = list(inner_ids)
             for m, w1s in small.items():
                 if m < 1:
                     continue
-                first = None  # ((w1 index, i), witness fields) of the earliest failure
-                for i in range(1, m + 1):
-                    over_w2, over_w3 = store(n, p)
-                    for a, w1 in enumerate(w1s):
+                for w1 in w1s:
+                    for i in range(1, m + 1):
                         outer = compose_row(w1, i, distinct)
-                        for w2, c12, inner_rows in zip(w2s, over_w2(w1, i), inner):
+                        for w2, c12, inner_rows in zip(w2s, row(w1, i, n), inner):
                             for j, inner_row in enumerate(inner_rows, 1):
                                 k = i + j - 1
-                                lhs = over_w3(c12, k)
+                                lhs = row(c12, k, p)
                                 rhs = tuple(map(outer.__getitem__, inner_row))
                                 check.instances += len(w3s)
-                                if (
-                                    lhs != rhs
-                                    and check.witness is None
-                                    and (first is None or (a, i) < first[0])
-                                ):
-                                    w3 = w3s[_first_difference(lhs, rhs)]
-                                    first = (a, i), dict(w1=w1, i=i, w2=w2, k=k, j=j, w3=w3)
-                if first is not None:
-                    check.fail(
-                        "({w1} o_{i} {w2}) o_{k} {w3} != {w1} o_{i} ({w2} o_{j} {w3})",
-                        **first[1],
-                    )
+                                if lhs != rhs and check.witness is None:
+                                    check.fail(
+                                        "({w1} o_{i} {w2}) o_{k} {w3} != "
+                                        "{w1} o_{i} ({w2} o_{j} {w3})",
+                                        w1=w1, i=i, w2=w2, k=k, j=j,
+                                        w3=w3s[_first_difference(lhs, rhs)],
+                                    )
     return check
 
 
-def _parallel_commutation(small, store) -> CheckResult:
+def _parallel_commutation(small, row) -> CheckResult:
     """(w1 o_j w3) o_i w2 = (w1 o_i w2) o_{j+n-1} w3 for i < j, a row over w3
     at a time, in enumeration order.
 
-    Every row is the store's, and each block (arity m of w1, arity p of w3,
-    arity n of w2) is a block boundary of it.  A left-hand row over w3 is
-    read across the columns (w1 o_j w3) o_i w2 over w2.
+    Every row is the row store's.  A left-hand row over w3 is read across
+    the columns (w1 o_j w3) o_i w2 over w2.
     """
     check = CheckResult("parallel-commutation")
     for m, w1s in small.items():
@@ -315,15 +308,14 @@ def _parallel_commutation(small, store) -> CheckResult:
             for n, w2s in small.items():
                 if n < 1:
                     continue
-                over_w2, over_w3 = store(n, p)
                 for w1 in w1s:
                     for i in range(1, m):
-                        c1 = over_w2(w1, i)
+                        c1 = row(w1, i, n)
                         for j in range(i + 1, m + 1):
                             k = j + n - 1
-                            row = [over_w2(d, i) for d in over_w3(w1, j)]
-                            for w2, c, lhs in zip(w2s, c1, zip(*row)):
-                                rhs = over_w3(c, k)
+                            columns = [row(d, i, n) for d in row(w1, j, p)]
+                            for w2, c, lhs in zip(w2s, c1, zip(*columns)):
+                                rhs = row(c, k, p)
                                 check.instances += len(w3s)
                                 if lhs != rhs and check.witness is None:
                                     check.fail(
@@ -479,22 +471,21 @@ def check_operad_axioms(
     are report content, not exceptions; each failing check carries its first
     counterexample in enumeration order.  Every instance is compared, but a
     value that repeats within a table is computed once: each memoised table
-    of rows is a _row_table, built on first use, whose rows keep one copy of
-    each value.  Both associativity checks read their rows, all but one
-    transient row per w1, from one row store, dropped at a block boundary
-    once it holds more than ROW_STORE_CAP values.  The action checks keep
-    the product table of Sigma_n and the orbits sigma.w per arity, and
-    equivariance its rows of composites per block (see the helpers).  No
-    table outlives the call, and none but the row store outlives the arity
-    or block it is kept for.
+    of rows is built on first use, and its rows keep one copy of each
+    value.  Both associativity checks read their rows, all but one
+    transient row per (w1, i), from one row store, which drops every row
+    before it builds one while it holds more than ROW_STORE_CAP values.
+    Equivariance keeps its rows in _row_tables per block, and the action
+    checks keep the product table of Sigma_n and the orbits sigma.w per
+    arity (see the helpers).  No table outlives the call, and none but the
+    row store outlives the arity or block it is kept for.
 
-    Sequential associativity runs slot-major, and equivariance compares rows
-    over sigma slot by slot, both out of enumeration order; each keeps the
-    failing instance first in enumeration order.  So P.compose and P.act
-    must be functions of their inputs and return hashable elements.  The
-    associativity and equivariance checks build their rows with
-    P.compose.row when it exists (see OperadDescriptor), and with one
-    P.compose call per element if not.
+    Equivariance compares rows over sigma slot by slot, out of enumeration
+    order, and keeps the failing instance first in enumeration order.  So
+    P.compose and P.act must be functions of their inputs and return
+    hashable elements.  The associativity and equivariance checks build
+    their rows with P.compose.row when it exists (see OperadDescriptor), and
+    with one P.compose call per element if not.
     """
     if triple_size_bound is None:
         triple_size_bound = size_bound
@@ -523,10 +514,10 @@ def check_operad_axioms(
     report.checks.append(unit_left)
     report.checks.append(unit_right)
     compose_row = _rows(compose)
-    store = _row_store(compose_row, small)
-    report.checks.append(_sequential_associativity(compose_row, small, store))
-    report.checks.append(_parallel_commutation(small, store))
-    del store  # not kept through the action checks
+    row = _row_store(compose_row, small)
+    report.checks.append(_sequential_associativity(compose_row, small, row))
+    report.checks.append(_parallel_commutation(small, row))
+    del row  # not kept through the action checks
 
     report.checks.append(_symmetric_action(P.act, els))
     report.checks.append(_equivariance(compose, P.act, small))

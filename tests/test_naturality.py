@@ -485,7 +485,6 @@ def enumerated_central_module(domain, r, n):
     extra = {"transformation_count": len(survivors)}
     if not complete:
         extra["method"] = "generator-based (sound but possibly over-approximating)"
-    extra["basis"] = None
     return nat.NaturalityReport(
         "central-module", n, [f"{domain}^{r}"], len(morphisms), survivors, complete, 0.0, extra
     )

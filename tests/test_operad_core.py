@@ -278,7 +278,7 @@ def _flip_unary(w1, i, w2):
 
 def _two_slot_fault(w1, i, w2):
     # wrong: x1 x2 o_2 and x2 x1 o_1 invert w2 first; x2 x1 comes later
-    # in enumeration order, but its slot 1 is visited before slot 2
+    # in enumeration order, but a slot-major order visits its slot 1 first
     if (w1.letters, i) in {((1, 2), 2), ((2, 1), 1)}:
         w2 = w2.inverse()
     return word_compose(w1, i, w2)
@@ -322,8 +322,8 @@ THREE_ELEMENT_CASES = [  # operad, arity bound, size bound, pinned witnesses
 
 def test_three_element_checks_match_one_by_one_oracle():
     """The row-wise checks compare every instance and name the first
-    failing one, also when it lies inside a row over w3, and also when the
-    slot-major sequential check meets a later failure first."""
+    failing one, also when it lies inside a row over w3, and also when a
+    slot-major sequential check would meet a later failure first."""
     for P, arity_bound, size_bound, witnesses in THREE_ELEMENT_CASES:
         rep = check_operad_axioms(P, arity_bound, size_bound)
         got = [(c.instances, c.witness) for c in rep.checks[2:4]]
@@ -503,15 +503,15 @@ def rows_built(arity_bound, size_bound):
     return rows
 
 
-def test_a_row_store_dropped_at_every_block_boundary_changes_no_report(monkeypatch):
-    """The row store is a memo: with ROW_STORE_CAP = 0 it is dropped at every
-    block boundary, which only builds rows again.  The three-element checks
-    still match their one-by-one oracle and both fault operads keep their
-    pinned witnesses.  Under the default cap the store of the word check at
-    (2, 2) is never dropped."""
+def test_a_row_store_dropped_before_every_row_changes_no_report(monkeypatch):
+    """The row store is a memo: with ROW_STORE_CAP = 0 it is dropped before
+    every row it builds but the first, which only builds rows again.  The
+    three-element checks still match their one-by-one oracle and both fault
+    operads keep their pinned witnesses.  Under the default cap the store
+    of the word check at (2, 2) is never dropped."""
     assert rows_built(2, 2) == 1_804
     monkeypatch.setattr(operad_core, "ROW_STORE_CAP", 0)
-    assert rows_built(2, 2) == 2_894
+    assert rows_built(2, 2) == 6_690
     test_three_element_checks_match_one_by_one_oracle()
     test_corrupted_perm_is_caught_with_named_witness()
     test_corrupted_word_reduction_is_caught()
@@ -560,10 +560,10 @@ def test_act_calls_of_the_perm_check():
 # Each mutant is patched into operad_core and must change a witness that a
 # one-by-one oracle and a pinned witness fix: the equivariance witness of the
 # named ACTION_CASES entry, or the three-element checks of every
-# THREE_ELEMENT_CASES entry.  Equivalent, so not pinned: a _row_table whose
-# rows keep fresh copies of their entries instead of first-met ones, since
-# rows compare by value and identity is only a shortcut; and a row store
-# dropped at more or fewer block boundaries (see the ROW_STORE_CAP test).
+# THREE_ELEMENT_CASES entry.  Equivalent, so not pinned: a _row_table or row
+# store whose rows keep fresh copies of their entries instead of first-met
+# ones, since rows compare by value and identity is only a shortcut; and a
+# row store dropped at a smaller or larger cap (see the ROW_STORE_CAP test).
 
 def _rows_keyed_by_x_alone(make_row, values):
     """Wrong: the memo forgets the second key, so (x, k) and (x, k') with
@@ -578,21 +578,30 @@ def _rows_keyed_by_x_alone(make_row, values):
     return row
 
 
+def _store_keyed_by_x_alone(compose_row, small):
+    """Wrong: the memo of each arity forgets the slot, so (x, k, p) and
+    (x, k', p) with k != k' share one row."""
+    memos = {p: {} for p in small}
+
+    def row(x, k, p):
+        if x not in memos[p]:
+            memos[p][x] = tuple(compose_row(x, k, small[p]))
+        return memos[p][x]
+
+    return row
+
+
 def _store_with_one_memo(compose_row, small):
     """Wrong: one memo for every arity, so the row of (x, k) first built over
     the elements of one arity is served over every arity."""
     memo = {}
 
-    def table(ys):
-        def row(x, k):
-            if (x, k) not in memo:
-                memo[x, k] = tuple(compose_row(x, k, ys))
-            return memo[x, k]
+    def row(x, k, p):
+        if (x, k) not in memo:
+            memo[x, k] = tuple(compose_row(x, k, small[p]))
+        return memo[x, k]
 
-        return row
-
-    tables = {p: table(ys) for p, ys in small.items()}
-    return lambda n, p: (tables[n], tables[p])
+    return row
 
 
 def _first_in_slot_major_order(lhs_rows, rhs_rows, sources):
@@ -620,7 +629,7 @@ def test_equivariance_mutants_are_caught(monkeypatch, name, mutant, case):
 
 
 def test_three_element_checks_catch_a_row_memo_keyed_by_x_alone(monkeypatch):
-    monkeypatch.setattr(operad_core, "_row_table", _rows_keyed_by_x_alone)
+    monkeypatch.setattr(operad_core, "_row_store", _store_keyed_by_x_alone)
     for P, arity_bound, size_bound, _ in THREE_ELEMENT_CASES:
         rep = check_operad_axioms(P, arity_bound, size_bound)
         got = [(c.instances, c.witness) for c in rep.checks[2:4]]

@@ -2,13 +2,18 @@
 group evaluation, and naturality of word images."""
 
 import copy
+import json
+import os
 import pickle
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import endop
 from endop.errors import IndexOutOfRange, NotAGroup, PositionOutOfRange
 from endop.naturality import (
     and_monoid,
@@ -237,8 +242,32 @@ def test_word_axioms_small_bounds():
 
 @pytest.mark.slow
 def test_word_axioms_full_length_three():
-    rep = check_operad_axioms(word_operad(), 3, 3)
-    assert rep.passed
+    """The (3, 3) check passes with the closed-form instance counts of
+    test_word_axiom_instance_counts_have_closed_forms at |W_n| = 1, 7, 53,
+    187.  It runs in a child process, whose peak RSS must stay within 64
+    MiB: the row store bounds the tables of both associativity checks."""
+    script = (
+        "import json, resource\n"
+        "from endop.operad_core import check_operad_axioms\n"
+        "from endop.word_operad import word_operad\n"
+        "rep = check_operad_axioms(word_operad(), 3, 3)\n"
+        "peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([rep.to_json_dict(), peak_kib]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(endop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report, peak_kib = json.loads(proc.stdout)
+    assert [(c["name"], c["instances"], c["pass"]) for c in report["checks"]] == [
+        ("unit-left", 248, True),
+        ("unit-right", 674, True),
+        ("sequential-associativity", 112_660_448, True),
+        ("parallel-commutation", 37_611_184, True),
+        ("symmetric-action", 7_198, True),
+        ("equivariance", 1_717_885, True),
+    ]
+    assert peak_kib <= 64 * 1024, f"peak RSS {peak_kib / 1024:.1f} MiB"
 
 
 def test_evaluation_respects_composition_on_s3():
