@@ -7,18 +7,19 @@ polynomial into a variable slot.  The binary product and the q-th power
 operation generate this operad, subject to commutativity, associativity,
 and mu o (P_q (x) P_q) = P_q o mu.
 
-One sparse type holds every polynomial: FieldPolynomial, a dict from
-exponent tuples to raw field values (see scalars.FiniteField).  QPolynomial
-is a FieldPolynomial that checks the q-power shape when it is built from
-outside input; composition and relabelling keep that shape and build their
-results unchecked.
+One sparse type holds every polynomial: FieldPolynomial, a tuple whose
+terms are (exponent tuple, raw coefficient) pairs sorted by exponent, with
+no zero coefficient.  QPolynomial is a FieldPolynomial that checks the
+q-power shape when it is built from outside input; composition and
+relabelling keep that shape and build their results unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from operator import add
+from functools import reduce
+from operator import add, itemgetter, mul
 
 from .errors import (
     FieldMismatch,
@@ -30,6 +31,9 @@ from .errors import (
 from .operad_core import OperadDescriptor
 from .perms import require_perm
 from .scalars import FiniteField, Scalar
+
+POLY_TAG = -3  # the first entry of every FieldPolynomial tuple
+_new = tuple.__new__
 
 
 def is_q_power(x: int, q: int) -> bool:
@@ -47,21 +51,21 @@ def _coerce(field, coeff):
 
 
 def _collect(field, pairs):
-    """Sum (exponent tuple, raw coefficient) pairs into a term dict, dropping
-    the zero coefficients."""
+    """Sum (exponent tuple, raw coefficient) pairs into canonical terms:
+    sorted by exponent, with the zero coefficients dropped."""
     plus = field.add
     out = {}
     for exp, c in pairs:
         prev = out.get(exp)
         out[exp] = c if prev is None else plus(prev, c)
-    return {exp: c for exp, c in out.items() if c}
+    return tuple(sorted([(exp, c) for exp, c in out.items() if c]))
 
 
 def _format_terms(field, terms):
     if not terms:
         return "0"
     chunks = []
-    for exp, coeff in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+    for exp, coeff in sorted(terms, key=lambda kv: (sum(kv[0]), kv[0])):
         vars_part = "*".join(
             f"X{i + 1}" if e == 1 else f"X{i + 1}^{e}"
             for i, e in enumerate(exp)
@@ -112,17 +116,25 @@ def _parse_terms(field, arity, s):
     s = s.strip()
     if s == "0":
         return {}
-    return _collect(field, (term(chunk) for chunk in s.split(" + ")))
+    return dict(_collect(field, (term(chunk) for chunk in s.split(" + "))))
 
 
-class FieldPolynomial:
-    """A sparse polynomial over F_q, {exponent tuple: raw coefficient}, with
-    arbitrary nonnegative exponents.  Operands must share field and arity.
+class FieldPolynomial(tuple):
+    """A sparse polynomial over F_q with arbitrary nonnegative exponents,
+    built from a term dict {exponent tuple: coefficient}; ring operands must
+    share field and arity.
+
+    A value: an immutable tuple (POLY_TAG, arity, terms, field.key), so that
+    construction, hashing and equality run in C.  Every way of building one
+    leaves its terms canonical (raw values as in scalars.FiniteField), so
+    equal polynomials are equal tuples.  The tag keeps a polynomial unequal
+    to a word, a projection and a plain tuple, and the key keeps fields
+    apart.  Polynomials order as tuples; that order means nothing.
     """
 
-    __slots__ = ("field", "arity", "terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, field: FiniteField, arity: int, terms=None):
+    def __new__(cls, field: FiniteField, arity: int, terms=None):
         clean = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
@@ -131,19 +143,11 @@ class FieldPolynomial:
             coeff = _coerce(field, coeff)
             if coeff:
                 clean[exp] = coeff
-        self.field, self.arity, self.terms = field, arity, clean
+        return _new(cls, (POLY_TAG, arity, tuple(sorted(clean.items())), field.key))
 
-    @classmethod
-    def _raw(cls, field, arity, terms):
-        """A polynomial on a clean term dict, unchecked: for results whose
-        shape holds by construction."""
-        out = object.__new__(cls)
-        out.field, out.arity, out.terms = field, arity, terms
-        return out
-
-    def _like(self, terms):
-        """A polynomial in the same ring on a clean term dict, unchecked."""
-        return FieldPolynomial._raw(self.field, self.arity, terms)
+    arity = property(itemgetter(1))
+    field = property(lambda self: self[3].field)
+    terms = property(lambda self: dict(self[2]), doc="{exponent tuple: raw coefficient}, a fresh dict")
 
     @classmethod
     def variable(cls, field, arity, i):
@@ -155,69 +159,61 @@ class FieldPolynomial:
         return cls(field, len(exponents), {exponents: field.one_raw})
 
     def _check(self, other):
-        if self.field is not other.field and self.field != other.field:
+        if self[3] != other[3]:
             raise FieldMismatch("polynomials over different fields")
-        if self.arity != other.arity:
+        if self[1] != other[1]:
             raise TruncationMismatch("polynomials in different variable counts")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldPolynomial)
-            and (self.field is other.field or self.field == other.field)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        # computed once, as terms is never changed after construction; the
-        # field is left out: it costs more to hash than all the rest, and
-        # equal polynomials share it anyway
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash((self.arity, frozenset(self.terms.items())))
-            return self._hash
 
     def __add__(self, other):
         self._check(other)
-        return self._like(_collect(self.field, chain(self.terms.items(), other.terms.items())))
+        terms = _collect(self[3].field, chain(self[2], other[2]))
+        return _new(FieldPolynomial, (POLY_TAG, self[1], terms, self[3]))
 
     def __mul__(self, other):
         self._check(other)
-        times = self.field.mul
+        field = self[3].field
+        times = field.mul
         products = (
             (tuple(map(add, e1, e2)), times(c1, c2))
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items()
+            for e1, c1 in self[2]
+            for e2, c2 in other[2]
         )
-        return self._like(_collect(self.field, products))
+        return _new(FieldPolynomial, (POLY_TAG, self[1], _collect(field, products), self[3]))
+
+    def __rmul__(self, other):  # not tuple repetition: int * polynomial is a TypeError
+        return NotImplemented
 
     def __pow__(self, e: int):
-        out = self._like({(0,) * self.arity: self.field.one_raw})
-        base = self
+        out, base = None, self
         while e:
             if e & 1:
-                out = out * base
+                out = base if out is None else out * base
             e >>= 1
             if e:
                 base = base * base
+        if out is None:  # e == 0: the constant 1 of the ring
+            one = (((0,) * self[1], self[3].field.one_raw),)
+            out = _new(FieldPolynomial, (POLY_TAG, self[1], one, self[3]))
         return out
 
     def scale(self, c):
-        c = _coerce(self.field, c)
-        if not c:
-            return self._like({})
-        times = self.field.mul
-        return self._like({e: times(v, c) for e, v in self.terms.items()})
+        """c times the polynomial; a nonzero c keeps every term nonzero."""
+        field = self[3].field
+        c = _coerce(field, c)
+        terms = tuple([(e, field.mul(v, c)) for e, v in self[2]]) if c else ()
+        return _new(FieldPolynomial, (POLY_TAG, self[1], terms, self[3]))
 
     def is_zero(self):
-        return not self.terms
+        return not self[2]
 
     def __str__(self):
-        return _format_terms(self.field, self.terms)
+        return _format_terms(self.field, self[2])
 
     def __repr__(self):
         return f"{type(self).__name__}({self.field}, {self})"
+
+    def __reduce__(self):
+        return type(self), (self.field, self[1], self.terms)
 
     @classmethod
     def parse(cls, field, arity, s):
@@ -231,20 +227,53 @@ class QPolynomial(FieldPolynomial):
 
     __slots__ = ()
 
-    def __init__(self, field: FiniteField, arity: int, terms=None):
+    def __new__(cls, field: FiniteField, arity: int, terms=None):
         if arity < 1:
             raise ValueError("the q-power operad is empty below arity one")
-        super().__init__(field, arity, terms)
-        for exp in self.terms:
+        out = super().__new__(cls, field, arity, terms)
+        for exp, _ in out[2]:
             if not syntactic_q_power_criterion(exp, field.q):
                 raise ValueError(
                     f"exponents {exp} are not all powers of q={field.q} (every variable "
                     "must occur with a q-power exponent)"
                 )
+        return out
+
+
+def qpoly_compose_row(f: QPolynomial, i: int, gs) -> list:
+    """[qpoly_compose(f, i, g) for g in gs], with f's terms split at X_i
+    once.  A monomial f in which X_i occurs maps g's terms, in order, to
+    distinct terms: nothing recombines, and the result needs no sorting."""
+    _, m, fterms, key = f
+    if not 1 <= i <= m:
+        raise PositionOutOfRange(f"slot {i} out of 1..{m}")
+    field = key.field
+    times = field.mul  # products are nonzero: F_q has no zero divisors
+    split = [(exp[i - 1], exp[: i - 1], exp[i:], coeff) for exp, coeff in fterms]
+    monomial = len(split) == 1 and split[0][0] > 0
+    if monomial:
+        (e_i, before, after, coeff), = split
+    row = []
+    for _, n, gterms, gkey in gs:
+        if key != gkey:
+            raise FieldMismatch("operands over different fields")
+        if monomial:
+            terms = tuple([
+                (before + tuple([e * e_i for e in gexp]) + after, times(coeff, gcoeff))
+                for gexp, gcoeff in gterms
+            ])
+        else:
+            terms = _collect(field, (
+                (before + tuple([e * e_i for e in gexp]) + after, times(coeff, gcoeff))
+                for e_i, before, after, coeff in split
+                for gexp, gcoeff in gterms
+            ))
+        row.append(_new(QPolynomial, (POLY_TAG, m + n - 1, terms, key)))
+    return row
 
 
 def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
-    """Substitute g for X_i in f.
+    """Substitute g for X_i in f: the one-element row of qpoly_compose_row.
 
     X_i^(q^e) becomes g^(q^e) = sum c_N N^(q^e): the q^e-th power map is
     additive in characteristic p and fixes every c in F_q.  The variables of
@@ -252,40 +281,21 @@ def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
     recombine, and zero coefficients drop out.  Substitution keeps the
     q-power shape, so the result is built unchecked.
     """
-    if f.field is not g.field and f.field != g.field:
-        raise FieldMismatch("operands over different fields")
-    m, n = f.arity, g.arity
-    if not 1 <= i <= m:
-        raise PositionOutOfRange(f"slot {i} out of 1..{m}")
-    times, plus = f.field.mul, f.field.add
-    out = {}
-    met = False
-    for exp, coeff in f.terms.items():
-        e_i, before, after = exp[i - 1], exp[: i - 1], exp[i:]
-        for gexp, gcoeff in g.terms.items():
-            key = before + tuple([e * e_i for e in gexp]) + after
-            c = times(coeff, gcoeff)  # nonzero: F_q has no zero divisors
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
-            else:
-                out[key] = plus(prev, c)
-                met = True
-    if met:
-        out = {exp: c for exp, c in out.items() if c}
-    return QPolynomial._raw(f.field, m + n - 1, out)
+    return qpoly_compose_row(f, i, (g,))[0]
+
+
+qpoly_compose.row = qpoly_compose_row
 
 
 def qpoly_perm_act(sigma, f: QPolynomial) -> QPolynomial:
     """Relabel X_k as X_sigma(k); the shape is kept, so unchecked."""
-    require_perm(sigma, f.arity)
-    out = {}
-    for exp, coeff in f.terms.items():
-        new_exp = [0] * f.arity
-        for k, e in enumerate(exp):
-            new_exp[sigma[k] - 1] = e
-        out[tuple(new_exp)] = coeff
-    return QPolynomial._raw(f.field, f.arity, out)
+    _, n, terms, key = f
+    require_perm(sigma, n)
+    source = [0] * n  # source[j]: the old slot of the new X_(j+1)
+    for k, s in enumerate(sigma):
+        source[s - 1] = k
+    out = sorted([(tuple([exp[k] for k in source]), c) for exp, c in terms])
+    return _new(QPolynomial, (POLY_TAG, n, tuple(out), key))
 
 
 def qpoly_operad(field: FiniteField) -> OperadDescriptor:
@@ -410,14 +420,12 @@ def eval_poly(f, args) -> FieldPolynomial:
     first = args[0]
     for a in args:
         first._check(a)
-    if f.field != first.field:
+    if f[3] != first[3]:
         raise FieldMismatch("polynomial and arguments over different fields")
-    acc = first._like({})
-    for exp, coeff in f.terms.items():
-        term = first ** 0  # the constant 1 of the ring
-        for a, e in zip(args, exp):
-            if e:
-                term = term * a ** e
+    acc = first.scale(0)  # the zero of the ring
+    for exp, coeff in f[2]:
+        powers = [a ** e for a, e in zip(args, exp) if e]
+        term = reduce(mul, powers) if powers else first ** 0
         acc = acc + term.scale(coeff)
     return acc
 

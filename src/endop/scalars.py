@@ -248,6 +248,13 @@ class IntegersMod(Domain):
 LOG_TABLE_MAX_Q = 1 << 12
 
 
+class FieldKey(tuple):
+    """(p, k, poly) of a FiniteField, which it carries as .field.  A value
+    that holds a field and must hash and compare in C holds this key in its
+    place: the key hashes as a tuple, the field through its dataclass
+    __hash__, a Python call."""
+
+
 @dataclass(frozen=True)
 class FiniteField(Domain):
     """F_q with q = p^k.  The defining polynomial is monic of degree k
@@ -266,8 +273,9 @@ class FiniteField(Domain):
     p: int
     k: int = 1
     poly: tuple = None
-    # p^k once per field; no part of equality or hash
+    # p^k and the FieldKey, once per field; no part of equality or hash
     q: int = field(init=False, compare=False, repr=False)
+    key: FieldKey = field(init=False, compare=False, repr=False)
 
     is_field = True
     is_finite = True
@@ -293,6 +301,9 @@ class FiniteField(Domain):
         _check_irreducible(poly, self.p, self.k)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "q", self.p ** self.k)
+        key = FieldKey((self.p, self.k, poly))
+        key.field = self
+        object.__setattr__(self, "key", key)
 
     @property
     def size(self):

@@ -2,6 +2,9 @@
 presentation, evaluation in polynomial rings, and the linearity
 classification."""
 
+import copy
+import importlib
+import pickle
 import random
 from itertools import permutations, product
 
@@ -15,8 +18,9 @@ from endop.errors import (
     PositionOutOfRange,
     TruncationMismatch,
 )
-from endop.operad_core import check_operad_axioms
+from endop.operad_core import PERM_TAG, PermElement, check_operad_axioms
 from endop.qpoly_operad import (
+    POLY_TAG,
     FieldPolynomial,
     QPolynomial,
     TreeLeaf,
@@ -34,9 +38,12 @@ from endop.qpoly_operad import (
     qpoly_perm_act,
     syntactic_q_power_criterion,
 )
-from endop.scalars import finite_field
+from endop.scalars import FiniteField, finite_field
+from endop.word_operad import WORD_TAG, ReducedWord
 from oracles import enumerate_trees, rewrite_once
 
+# the module itself: the package binds the name qpoly_operad to the function
+qpoly_operad_module = importlib.import_module("endop.qpoly_operad")
 F2 = finite_field(2)
 F3 = finite_field(3)
 F4 = finite_field(4)
@@ -252,12 +259,13 @@ ROUND_TRIP_FIELDS = [finite_field(q) for q in (2, 3, 4, 8, 9, 16)]
 
 
 @st.composite
-def polynomials(draw, cls):
+def polynomials(draw, cls, F=None, arity=None):
     """A FieldPolynomial with exponents 0..20, or a QPolynomial with
-    exponents q^0..q^3, over one of the round-trip fields; the empty term
-    dict and zero coefficients give the zero polynomial."""
-    F = draw(st.sampled_from(ROUND_TRIP_FIELDS))
-    arity = draw(st.integers(1, 3))
+    exponents q^0..q^3, over one of the round-trip fields (or F) in arity
+    1..3 (or arity); the empty term dict and zero coefficients give the zero
+    polynomial."""
+    F = F or draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    arity = arity or draw(st.integers(1, 3))
     if cls is QPolynomial:
         exponent = st.integers(0, 3).map(lambda h: F.q ** h)
     else:
@@ -357,3 +365,171 @@ def test_coefficients_are_raw_field_values():
 def test_parse_rejects_malformed_polynomials(text):
     with pytest.raises(ValueError, match="bad "):
         FieldPolynomial.parse(F3, 2, text)
+
+
+# -- the tuple layout and its canonical terms ---------------------------------
+#
+# Equality and hashing are the tuple's, so they are right only if every way of
+# building a polynomial leaves its terms sorted by exponent and free of zeros.
+
+def _assert_canonical(p, F, arity):
+    assert (p[0], p[1], p[3]) == (POLY_TAG, arity, F.key)
+    exps = [exp for exp, _ in p[2]]
+    assert exps == sorted(set(exps)), p[2]
+    assert all(c for _, c in p[2]), p[2]
+
+
+@st.composite
+def same_ring(draw):
+    """Two FieldPolynomials over one field in one arity."""
+    F = draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    arity = draw(st.integers(1, 3))
+    return draw(polynomials(FieldPolynomial, F, arity)), draw(polynomials(FieldPolynomial, F, arity))
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_ring(), st.integers(0, 3))
+def test_ring_operations_give_canonical_terms(pair, e):
+    f, g = pair
+    F, n = f.field, f.arity
+    built = [f, g, f + g, f + f, f * g, f ** e, FieldPolynomial.parse(F, n, str(f))]
+    built += [f.scale(v) for v in F.elements()[:3]]
+    built += [FieldPolynomial.monomial(F, next(iter(g.terms), (0,) * n)), FieldPolynomial.variable(F, n, n)]
+    for p in built:
+        _assert_canonical(p, F, n)
+    assert (f + g) + g.scale(F.neg(F.one_raw)) == f  # a sum that cancels back to f
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ROUND_TRIP_FIELDS[:4]).flatmap(
+    lambda F: st.tuples(polynomials(QPolynomial, F), polynomials(QPolynomial, F))
+))
+def test_compose_and_act_give_canonical_terms(pair):
+    f, g = pair
+    m, n = f.arity, g.arity
+    for i in range(1, m + 1):
+        h = qpoly_compose(f, i, g)
+        _assert_canonical(h, f.field, m + n - 1)
+        assert h == _substitute(f, i, g)
+    for sigma in permutations(range(1, m + 1)):
+        _assert_canonical(qpoly_perm_act(sigma, f), f.field, m)
+
+
+def test_compose_sorts_and_cancels():
+    """Over F_2: (X1 + X1^2) o (X1 + X1^2) = X1 + X1^4, the two X1^2 terms
+    cancelling; and substitution meets the terms of
+    (X1*X2^2 + X1^2*X2) o_1 (X1 + X1^2) out of exponent order."""
+    f = QPolynomial.parse(F2, 1, "X1 + X1^2")
+    assert qpoly_compose(f, 1, f) == QPolynomial.parse(F2, 1, "X1 + X1^4")
+    assert qpoly_compose(f, 1, f)[2] == (((1,), 1), ((4,), 1))
+    g = QPolynomial.parse(F2, 2, "X1*X2^2 + X1^2*X2")
+    h = qpoly_compose(g, 1, f)
+    assert h == QPolynomial.parse(F2, 2, "X1*X2^2 + X1^2*X2^2 + X1^2*X2 + X1^4*X2")
+    assert [exp for exp, _ in h[2]] == [(1, 2), (2, 1), (2, 2), (4, 1)]
+    for p in (f, g, h):
+        assert qpoly_compose.row(p, 1, [f, g, f]) == [qpoly_compose(p, 1, x) for x in (f, g, f)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([FieldPolynomial, QPolynomial]).flatmap(polynomials),
+    st.sampled_from([FieldPolynomial, QPolynomial]).flatmap(polynomials),
+    st.randoms(use_true_random=False),
+)
+def test_equality_and_hash_agree_with_the_term_dicts(f, g, rng):
+    same = f.field == g.field and f.arity == g.arity and f.terms == g.terms
+    assert (f == g) is same and (f != g) is not same
+    if same:
+        assert hash(f) == hash(g)
+    shuffled = list(f.terms.items())
+    rng.shuffle(shuffled)
+    again = type(f)(f.field, f.arity, dict(shuffled))
+    assert again == f and hash(again) == hash(f) and again.terms == f.terms
+
+
+def test_polynomials_differ_from_words_projections_and_tuples():
+    assert POLY_TAG not in (WORD_TAG, PERM_TAG)
+    f = QPolynomial.monomial(F2, (1,))
+    assert f != ReducedWord(1, (1,)) and f != PermElement(1, 1)
+    fields = f[1:]
+    assert f != fields and f != fields[:2]
+    assert f != tuple.__new__(ReducedWord, (WORD_TAG, *fields))
+    assert f != tuple.__new__(PermElement, (PERM_TAG, *fields))
+    assert len({f, ReducedWord(1, (1,)), PermElement(1, 1), fields, fields[:2]}) == 5
+
+
+def test_fields_stay_apart():
+    x2, x4 = (QPolynomial.monomial(F, (1,)) for F in (F2, F4))
+    assert x2.terms == x4.terms and x2 != x4
+    # x^3 + x + 1 and x^3 + x^2 + 1: two F_8s whose raw values differ
+    a, b = (FiniteField(2, 3, poly) for poly in ((1, 1, 0, 1), (1, 0, 1, 1)))
+    assert QPolynomial(a, 1, {(1,): 3}) != QPolynomial(b, 1, {(1,): 3})
+    # equal fields built apart give equal polynomials
+    assert FiniteField(2) is not F2 and QPolynomial.monomial(FiniteField(2), (1,)) == x2
+    assert hash(QPolynomial.monomial(FiniteField(2), (1,))) == hash(x2)
+    for mixed in (
+        lambda: qpoly_compose(x2, 1, x4),
+        lambda: qpoly_compose.row(x2, 1, [x2, x4]),
+        lambda: x2 + x4,
+        lambda: x2 * x4,
+        lambda: eval_poly(x2, [x4]),
+    ):
+        with pytest.raises(FieldMismatch):
+            mixed()
+    with pytest.raises(TypeError):
+        2 * x2  # not tuple repetition
+
+
+@pytest.mark.parametrize("text", ["0", "X1*X2", "(g+1)*X1*X2^4 + g*X1^4*X2"])
+@pytest.mark.parametrize("cls", [FieldPolynomial, QPolynomial])
+def test_polynomials_are_values(cls, text):
+    f = cls.parse(F4, 2, text)
+    assert f.field is F4 and f.arity == 2 and f.terms == dict(f[2])
+    assert str(f) == text
+    for back in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert back == f and hash(back) == hash(f) and type(back) is cls
+    for name in ("arity", "field", "terms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 1)
+
+
+# -- mutants of compose that leave its terms out of canonical form --------------
+#
+# Each is patched in as the row kernel, which qpoly_compose calls, and the
+# substitution oracles must catch it.
+
+def _met_terms(f, i, g):
+    """The terms of f o_i g as substitution meets them, like terms summed."""
+    F, out = f.field, {}
+    for exp, c in f.terms.items():
+        for gexp, gc in g.terms.items():
+            key = exp[: i - 1] + tuple(e * exp[i - 1] for e in gexp) + exp[i:]
+            out[key] = F.add(out.get(key, F.zero_raw), F.mul(c, gc))
+    return out
+
+
+def _unsorted_row(f, i, gs):
+    """Wrong: the terms in the order substitution meets them."""
+    return [
+        tuple.__new__(QPolynomial, (POLY_TAG, f.arity + g.arity - 1,
+                                    tuple((e, c) for e, c in _met_terms(f, i, g).items() if c), f[3]))
+        for g in gs
+    ]
+
+
+def _zero_keeping_row(f, i, gs):
+    """Wrong: sorted, but the terms that cancel stay with coefficient zero."""
+    return [
+        tuple.__new__(QPolynomial, (POLY_TAG, f.arity + g.arity - 1,
+                                    tuple(sorted(_met_terms(f, i, g).items())), f[3]))
+        for g in gs
+    ]
+
+
+@pytest.mark.parametrize("mutant", [_unsorted_row, _zero_keeping_row])
+@pytest.mark.parametrize("oracle", [test_compose_sorts_and_cancels, test_compose_matches_substitution_oracle])
+def test_non_canonical_compose_mutants_are_caught(monkeypatch, mutant, oracle):
+    oracle()
+    monkeypatch.setattr(qpoly_operad_module, "qpoly_compose_row", mutant)
+    with pytest.raises(AssertionError):
+        oracle()

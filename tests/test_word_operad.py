@@ -245,13 +245,16 @@ def test_word_axioms_full_length_three():
     """The (3, 3) check passes with the closed-form instance counts of
     test_word_axiom_instance_counts_have_closed_forms at |W_n| = 1, 7, 53,
     187.  It runs in a child process, whose peak RSS must stay within 64
-    MiB: the row store bounds the tables of both associativity checks."""
+    MiB: the row store bounds the tables of both associativity checks.  The
+    child reads its VmHWM, which Linux starts afresh at exec; its ru_maxrss
+    can start at the RSS of the process that forked it, here pytest's."""
     script = (
-        "import json, resource\n"
+        "import json\n"
         "from endop.operad_core import check_operad_axioms\n"
         "from endop.word_operad import word_operad\n"
         "rep = check_operad_axioms(word_operad(), 3, 3)\n"
-        "peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with open('/proc/self/status') as status:\n"
+        "    peak_kib = int(status.read().split('VmHWM:')[1].split()[0])\n"
         "print(json.dumps([rep.to_json_dict(), peak_kib]))\n"
     )
     src = os.path.dirname(os.path.dirname(endop.__file__))
