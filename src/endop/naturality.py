@@ -8,8 +8,8 @@ NaturalityReport.  For sets, monoids and groups one backtracking solver
 propagates the conditions cell by cell.  For modules and graded modules the
 conditions are linear, and one shared routine solves them with the one
 solver of `linalg`, over fields and Z/m alike.  Naturality is closed under
-composition of morphisms, so the set and module drivers solve against a
-generating set of the endomorphism monoid in place of the whole monoid.
+composition of morphisms, so the set, module and graded drivers solve
+against generators of their morphisms and list no hom set.
 """
 
 from __future__ import annotations
@@ -437,31 +437,28 @@ def _module_generator_family(domain, r):
 
 def _natural_solutions(domain, shapes, cells, morphisms, n):
     """The re-checked survivors of f . phi_src == phi_dst . f^(tensor n) for
-    every morphism (src, dst, f) that morphisms() yields, as flat tuples over
+    every morphism (src, dst, f) in the list morphisms, as flat tuples over
     the unknown cells (object, row, column) of the maps phi_o of shape
     shapes[o], and the report's counts.  Over a field they are the canonical
     basis of the solutions; over Z/m, every solution, sorted, at most
     CANDIDATE_CAP."""
-    def conditions():
-        for src, dst, f in morphisms():
-            yield src, dst, f, kron_power(f, n)
-
-    survivors = solution_generators(conditions(), cells, domain)
+    conditions = ((src, dst, f, kron_power(f, n)) for src, dst, f in morphisms)
+    survivors = solution_generators(conditions, cells, domain)
     if domain.is_field:
         extra = {"dimension": len(survivors), "transformation_count": domain.size ** len(survivors)}
     else:
         survivors = module_elements(survivors, domain.size, len(cells), CANDIDATE_CAP)
         extra = {"transformation_count": len(survivors)}
     for start in range(0, len(survivors), 256):  # bounds the re-check's memory
-        _recheck(domain, shapes, cells, survivors[start : start + 256], conditions())
+        _recheck(domain, shapes, cells, survivors[start : start + 256], morphisms, n)
     return survivors, extra
 
 
-def _recheck(domain, shapes, cells, survivors, conditions):
+def _recheck(domain, shapes, cells, survivors, morphisms, n):
     """Raise VerificationFailed unless f . phi_src == phi_dst . f^(tensor n)
-    for every survivor and condition, in ExactMatrix arithmetic: per
-    condition, one product on every survivor placed side by side and one on
-    every survivor stacked."""
+    for every survivor and morphism (src, dst, f), in ExactMatrix arithmetic:
+    per morphism, one product on every survivor placed side by side and one
+    on every survivor stacked."""
     zero, count = domain.zero_raw, len(survivors)
     wide = [[[zero] * (count * q) for _ in range(p)] for p, q in shapes]
     tall = [[[zero] * q for _ in range(count * p)] for p, q in shapes]
@@ -471,8 +468,8 @@ def _recheck(domain, shapes, cells, survivors, conditions):
             wide[o][a][s * q + b] = tall[o][s * p + a][b] = vec[k]
     wide = [ExactMatrix(domain, rows, count * q) for rows, (_, q) in zip(wide, shapes)]
     tall = [ExactMatrix(domain, rows, q) for rows, (_, q) in zip(tall, shapes)]
-    for src, dst, f, fn in conditions:
-        left, right = f * wide[src], tall[dst] * fn
+    for src, dst, f in morphisms:
+        left, right = f * wide[src], tall[dst] * kron_power(f, n)
         p, q = shapes[dst][0], shapes[src][1]
         # row u of the left product holds every survivor's row u side by
         # side; the right product holds them at rows u, u + p, u + 2p, ...
@@ -510,15 +507,12 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
     width = r ** n
     complete = domain.size ** (r * r) <= HOM_ENUMERATION_CAP
     gens = _module_generators(domain, r) if complete else _module_generator_family(domain, r)
-
-    def morphisms():
-        yield from ((0, 0, f) for f in gens)
-        if complete:
-            return
+    morphisms = [(0, 0, f) for f in gens]
+    if not complete:
         rng, els = random.Random(0), domain.elements()
         for _ in range(SAMPLE_VERIFICATIONS):
             flat = [[els[rng.randrange(domain.size)] for _ in range(r)] for _ in range(r)]
-            yield 0, 0, ExactMatrix(domain, flat)
+            morphisms.append((0, 0, ExactMatrix(domain, flat)))
 
     with _Timer() as tm:
         cells = [(0, i, j) for i in range(r) for j in range(width)]
@@ -546,9 +540,7 @@ def central_module(domain, rank: int, arity: int) -> NaturalityReport:
 # -- the central operad of graded modules ------------------------------------
 
 def _graded_objects(window: int, arity: int):
-    degrees = range(-window, window + 1)
-    size = max(arity, 1)
-    return [tuple(c) for c in combinations_with_replacement(degrees, size)]
+    return list(combinations_with_replacement(range(-window, window + 1), max(arity, 1)))
 
 
 def _graded_cells(obj, arity):
@@ -562,22 +554,28 @@ def _graded_cells(obj, arity):
     return cells
 
 
-def _graded_homs(src, dst, domain):
-    """All degree-zero module maps src -> dst (matrices supported on
-    degree-matched cells)."""
-    cells = [(u, s) for u in range(len(dst)) for s in range(len(src)) if dst[u] == src[s]]
-    if domain.size ** len(cells) > HOM_ENUMERATION_CAP:
-        raise BoundExceeded(
-            f"{domain.size}^{len(cells)} graded morphisms exceed the enumeration cap"
-        )
-    zero = domain.zero_raw
-    homs = []
-    for vals in product(domain.elements(), repeat=len(cells)):
-        f = [[zero] * len(src) for _ in range(len(dst))]
-        for (u, s), v in zip(cells, vals):
-            f[u][s] = v
-        homs.append(f)
-    return homs
+def _graded_generators(domain, objects):
+    """Degree-zero maps (src, dst, f) that generate all of them under
+    composition: per object and degree with k summands, the matrices of
+    _module_generators(domain, k) on that block and the identity elsewhere;
+    per ordered pair of distinct objects, the map sending the t-th summand
+    of each degree in src to the t-th of that degree in dst, 0 elsewhere.
+    Per degree every b x a matrix is G.C.H, G and H square and C that map's
+    block, by Smith normal form over F_q and Z/m as in _module_generators."""
+    zero, one = domain.zero_raw, domain.one_raw
+    # each summand as (degree, number of summands of that degree before it)
+    labels = [[(d, obj[:t].count(d)) for t, d in enumerate(obj)] for obj in objects]
+    gens = []
+    for oi, obj in enumerate(objects):
+        for e in sorted(set(obj)):
+            for g in _module_generators(domain, obj.count(e)):
+                rows = [[g.data[a][b] if d == c == e else one if (d, a) == (c, b) else zero
+                         for c, b in labels[oi]] for d, a in labels[oi]]
+                gens.append((oi, oi, ExactMatrix(domain, rows, len(obj))))
+    return gens + [
+        (si, di, ExactMatrix(domain, [[one if x == y else zero for y in src] for x in dst], len(src)))
+        for (si, src), (di, dst) in product(enumerate(labels), repeat=2) if si != di
+    ]
 
 
 def graded_central(domain, window: int, arity: int) -> NaturalityReport:
@@ -586,7 +584,10 @@ def graded_central(domain, window: int, arity: int) -> NaturalityReport:
     ground ring, with degrees drawn from -window..window.
 
     The unknowns are the degree-matched cells of one map per object, solved
-    for as in central_module; survivors are flat tuples over these cells.
+    for as in central_module against _graded_generators; survivors are flat
+    tuples over these cells.  `morphisms` counts every degree-zero map: from
+    src to dst there are |R|^k, k the sum over degrees of the products of
+    their numbers of summands, and HOM_ENUMERATION_CAP bounds each |R|^k.
     """
     if not domain.is_finite:
         raise UnsupportedDomain("graded_central expects a finite ring")
@@ -595,16 +596,15 @@ def graded_central(domain, window: int, arity: int) -> NaturalityReport:
     n = arity
     objects = _graded_objects(window, n)
     with _Timer() as tm:
+        ks = [sum(a.count(e) * b.count(e) for e in set(a)) for a, b in product(objects, repeat=2)]
+        for k in ks:  # before the cells, which number up to len(obj)^(n + 1)
+            if domain.size ** k > HOM_ENUMERATION_CAP:
+                raise BoundExceeded(f"{domain.size}^{k} graded morphisms exceed the enumeration cap")
         cells = [(oi, t, T) for oi, obj in enumerate(objects) for t, T in _graded_cells(obj, n)]
-        morphisms = [
-            (si, di, ExactMatrix(domain, f, len(src)))
-            for si, src in enumerate(objects)
-            for di, dst in enumerate(objects)
-            for f in _graded_homs(src, dst, domain)
-        ]
         shapes = [(len(obj), len(obj) ** n) for obj in objects]
         indexed = [(oi, t, tuple_index(T, len(objects[oi]))) for oi, t, T in cells]
-        survivors, extra = _natural_solutions(domain, shapes, indexed, lambda: morphisms, n)
+        gens = _graded_generators(domain, objects)
+        survivors, extra = _natural_solutions(domain, shapes, indexed, gens, n)
         extra["cells"] = [
             {"object": str(objects[oi]), "out": t, "in": list(T)} for oi, t, T in cells
         ]
@@ -612,7 +612,7 @@ def graded_central(domain, window: int, arity: int) -> NaturalityReport:
         context="graded-central",
         arity=n,
         objects=[str(o) for o in objects],
-        morphisms=len(morphisms),
+        morphisms=sum(domain.size ** k for k in ks),
         survivors=survivors,
         complete=True,
         elapsed_ms=tm.ms,

@@ -184,6 +184,8 @@ class FieldPolynomial(tuple):
         return NotImplemented
 
     def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
         out, base = None, self
         while e:
             if e & 1:

@@ -3,10 +3,15 @@ exhaustive generator trees of the q-power operad with one step of its
 presentation relations, reading a field back from its JSON form, the
 identity and the relabelling action of permutations, projections and
 transposes as plain functions, word evaluation in a semigroup with
-involution, word composition by raw substitution, and the closed-form count
-of reduced words."""
+involution, word composition by raw substitution, the closed-form count
+of reduced words, and the list of every degree-zero map between two graded
+modules."""
 
+from itertools import product
+
+from endop.errors import BoundExceeded
 from endop.linalg import ExactMatrix
+from endop.naturality import HOM_ENUMERATION_CAP
 from endop.qpoly_operad import TreeLeaf, TreeMu, TreePq
 from endop.scalars import FiniteField
 from endop.word_operad import free_reduce
@@ -136,3 +141,21 @@ def rewrite_once(tree):
         for sub in rewrite_once(tree.child):
             results.append(TreePq(sub))
     return results
+
+
+def graded_homs(src, dst, domain):
+    """All degree-zero module maps src -> dst (matrices supported on
+    degree-matched cells)."""
+    cells = [(u, s) for u in range(len(dst)) for s in range(len(src)) if dst[u] == src[s]]
+    if domain.size ** len(cells) > HOM_ENUMERATION_CAP:
+        raise BoundExceeded(
+            f"{domain.size}^{len(cells)} graded morphisms exceed the enumeration cap"
+        )
+    zero = domain.zero_raw
+    homs = []
+    for vals in product(domain.elements(), repeat=len(cells)):
+        f = [[zero] * len(src) for _ in range(len(dst))]
+        for (u, s), v in zip(cells, vals):
+            f[u][s] = v
+        homs.append(f)
+    return homs

@@ -41,6 +41,7 @@ from endop.naturality import (
 )
 from endop.operad_core import PermElement, perm_compose
 from endop.scalars import IntegersMod, finite_field
+from oracles import graded_homs
 
 
 # -- brute-force oracles over tables ------------------------------------------
@@ -265,12 +266,12 @@ def test_rank_zero_agrees_over_zmod_and_fields(arity):
 
 # -- generators of the morphism monoids -------------------------------------------
 #
-# The set and module drivers solve and re-check against generators of the
-# endomorphism monoid only.  That gives the same answers because naturality
+# The set, module and graded drivers solve and re-check against generators
+# of their morphisms only.  That gives the same answers because naturality
 # for f and for g implies naturality for g.f, provided the generators
-# generate.  Where the monoid can be listed, the closure tests below prove
+# generate.  Where the morphisms can be listed, the closure tests below prove
 # that they do; past that, the cited theorems in the docstrings of
-# _set_generators and _module_generators are the proof.
+# _set_generators, _module_generators and _graded_generators are the proof.
 
 COMPLETE_RINGS = [IntegersMod(m) for m in range(2, 9)] + [
     finite_field(q) for q in (2, 3, 4, 5, 7, 8)
@@ -283,10 +284,11 @@ COMPLETE_MODULE_CASES = [(R, 2) for R in COMPLETE_RINGS] + [
 
 
 def _closure(gens, mul):
-    """The monoid generated by gens: every product of one or more of them."""
+    """The monoid or category generated by gens: every product of one or more
+    of them, where mul gives None for a pair that does not compose."""
     seen = frontier = set(gens)
     while frontier:
-        frontier = {mul(g, x) for x in frontier for g in gens} - seen
+        frontier = {mul(g, x) for x in frontier for g in gens} - seen - {None}
         seen = seen | frontier
     return seen
 
@@ -295,7 +297,7 @@ def _set_closure(gens):
     return _closure(gens, lambda g, f: tuple(g[x] for x in f))
 
 
-def _matrix_closure(domain, gens):
+def _matrix_product(domain):
     # raw values are range(size) over Z/m and F_q alike, so tables index them
     size = domain.size
     add = [[domain.add(a, b) for b in range(size)] for a in range(size)]
@@ -311,11 +313,42 @@ def _matrix_closure(domain, gens):
         cols = tuple(zip(*b))
         return tuple(tuple(entry(row, col) for col in cols) for row in a)
 
-    return _closure([g.data for g in gens], product_of)
+    return product_of
+
+
+def _matrix_closure(domain, gens):
+    return _closure([g.data for g in gens], _matrix_product(domain))
 
 
 def _all_matrices(domain, r):
     return {f.data for f in all_square_matrices(domain, r)}
+
+
+def _graded_category(domain, objects):
+    """Every degree-zero map between the objects, as (src, dst, f)."""
+    return [
+        (si, di, ExactMatrix(domain, f, len(src)))
+        for si, src in enumerate(objects)
+        for di, dst in enumerate(objects)
+        for f in graded_homs(src, dst, domain)
+    ]
+
+
+def _graded_closure(domain, gens):
+    """The degree-zero maps that gens generate, as (src, dst, rows)."""
+    product_of = _matrix_product(domain)
+    return _closure(
+        [(s, d, f.data) for s, d, f in gens],
+        lambda g, f: (f[0], g[1], product_of(g[2], f[2])) if g[0] == f[1] else None,
+    )
+
+
+def _listed_graded_category(domain, window, arity):
+    objects = nat._graded_objects(window, arity)
+    return objects, {(s, d, f.data) for s, d, f in _graded_category(domain, objects)}
+
+
+GRADED_RINGS = [IntegersMod(m) for m in (2, 4, 6)] + [finite_field(q) for q in (2, 3, 4)]
 
 
 def test_set_generators_generate_every_endomap():
@@ -331,6 +364,13 @@ def test_module_generators_generate_every_matrix(domain, rank):
     assert domain.size ** (rank * rank) <= nat.HOM_ENUMERATION_CAP
     gens = nat._module_generators(domain, rank)
     assert _matrix_closure(domain, gens) == _all_matrices(domain, rank)
+
+
+@pytest.mark.parametrize("window, arity", [(0, 2), (1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("domain", GRADED_RINGS, ids=str)
+def test_graded_generators_generate_every_degree_zero_map(domain, window, arity):
+    objects, listed = _listed_graded_category(domain, window, arity)
+    assert _graded_closure(domain, nat._graded_generators(domain, objects)) == listed
 
 
 def test_module_generators_at_rank_at_most_one_are_every_matrix():
@@ -349,19 +389,65 @@ AGAINST_EVERY_MORPHISM = [
     pytest.param(lambda R=R, r=r, a=a: central_module(R, r, a), id=f"{R}-rank{r}-arity{a}")
     for R, r in COMPLETE_MODULE_CASES
     for a in (0, 1, 2)
+] + [
+    pytest.param(lambda R=R, w=w, a=a: graded_central(R, w, a), id=f"{R}-window{w}-arity{a}")
+    for R in GRADED_RINGS
+    for w in (0, 1)
+    for a in (0, 1, 2)
 ]
 
 
 @pytest.mark.parametrize("solve", AGAINST_EVERY_MORPHISM)
 def test_generators_solve_as_the_whole_monoid(monkeypatch, solve):
-    """The report equals the one of a solve against the whole monoid list,
-    which is what the set and module drivers solved against before."""
+    """The report equals the one of a solve against every morphism, which is
+    what the set, module and graded drivers solved against before."""
     expected = _report(solve())
     monkeypatch.setattr(nat, "_set_generators", lambda n: list(product(range(n), repeat=n)))
     monkeypatch.setattr(
         nat, "_module_generators", lambda domain, r: list(all_square_matrices(domain, r))
     )
+    monkeypatch.setattr(nat, "_graded_generators", _graded_category)
     assert _report(solve()) == expected
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [IntegersMod(m) for m in (2, 4, 6, 8, 9)] + [finite_field(q) for q in (2, 3, 4, 5)],
+    ids=str,
+)
+def test_graded_morphisms_count_the_listed_category(monkeypatch, domain):
+    """`morphisms` is a closed form.  It equals the number of listed
+    degree-zero maps wherever they fit under the cap, and past it both raise
+    the same BoundExceeded.  The solve is stubbed out: only the count is
+    read here."""
+    monkeypatch.setattr(nat, "_natural_solutions", lambda *args: ([], {}))
+    for window, arity in product((0, 1, 2), (0, 1, 2, 3)):
+        objects = nat._graded_objects(window, arity)
+        try:
+            count = sum(len(graded_homs(a, b, domain)) for a, b in product(objects, repeat=2))
+        except BoundExceeded as listed:
+            with pytest.raises(BoundExceeded) as exc:
+                graded_central(domain, window, arity)
+            assert str(exc.value) == str(listed), (window, arity)
+        else:
+            assert graded_central(domain, window, arity).morphisms == count, (window, arity)
+
+
+@pytest.mark.parametrize(
+    "window, arity, power", [(0, 2, "9^4"), (1, 2, "9^4"), (0, 3, "9^9"), (1, 3, "9^9")]
+)
+def test_graded_cap_bounds_the_maps_between_two_objects(window, arity, power):
+    with pytest.raises(BoundExceeded) as exc:
+        graded_central(IntegersMod(9), window, arity)
+    assert str(exc.value) == f"{power} graded morphisms exceed the enumeration cap"
+
+
+def test_graded_cap_is_checked_before_the_cells(monkeypatch):
+    # an object has len(obj)^arity candidate cells: F_2 at window 1, arity 6
+    # took 5 s to reach the cap when the cells were listed first
+    monkeypatch.setattr(nat, "_graded_cells", None)
+    with pytest.raises(BoundExceeded, match=r"^2\^36 graded morphisms"):
+        graded_central(finite_field(2), 1, 6)
 
 
 # -- mutants: generating sets with one class of generators removed ------------------
@@ -441,6 +527,55 @@ def test_module_survivors_without_a_generator_class(monkeypatch, domain, cls, co
     assert central_module(domain, 2, 1).extra["transformation_count"] == count
 
 
+# Graded generators fall into three classes.  Dropping any of them breaks the
+# closure at window 1 and arity 2, the smallest shape that has all three.
+# Over Z/2, Z/4, Z/6, Z/8 and F_2 to F_5, at windows 0-2 and arities 0-2,
+# these drops leave every survivor unchanged, so only the closure test
+# catches them: any drop at arity 1; dropping the connecting maps over F_3,
+# F_4 and F_5; and dropping the block diagonals at windows 1 and 2.
+
+GRADED_CLASSES = ("connecting maps", "block transvections", "block diagonals")
+
+
+def _graded_class(src, dst, f):
+    if src != dst:
+        return "connecting maps"
+    if any(v for a, row in enumerate(f.data) for b, v in enumerate(row) if a != b):
+        return "block transvections"
+    return "block diagonals"
+
+
+def _graded_generators_without(cls):
+    generators = nat._graded_generators
+    return lambda domain, objects: [
+        g for g in generators(domain, objects) if _graded_class(*g) != cls
+    ]
+
+
+@pytest.mark.parametrize("cls", GRADED_CLASSES)
+@pytest.mark.parametrize("domain", GRADED_RINGS, ids=str)
+def test_each_graded_generator_class_is_needed(domain, cls):
+    objects, listed = _listed_graded_category(domain, 1, 2)
+    gens = _graded_generators_without(cls)(domain, objects)
+    assert _graded_closure(domain, gens) != listed
+
+
+@pytest.mark.parametrize(
+    "domain, window, arity, cls, count",
+    [
+        (IntegersMod(2), 1, 2, "connecting maps", 4),
+        (IntegersMod(4), 0, 2, "block transvections", 128),
+        (IntegersMod(4), 0, 0, "block diagonals", 4),
+        (finite_field(4), 0, 2, "block diagonals", 4),
+    ],
+    ids=str,
+)
+def test_graded_survivors_without_a_generator_class(monkeypatch, domain, window, arity, cls, count):
+    assert graded_central(domain, window, arity).extra["transformation_count"] == 1
+    monkeypatch.setattr(nat, "_graded_generators", _graded_generators_without(cls))
+    assert graded_central(domain, window, arity).extra["transformation_count"] == count
+
+
 # -- brute-force oracles over Z/m ------------------------------------------------
 #
 # The candidate enumeration the Z/m drivers used before they solved their
@@ -501,7 +636,7 @@ def enumerated_graded_central(domain, window, n):
     homs = 0
     for si, src in enumerate(objects):
         for di, dst in enumerate(objects):
-            for f in nat._graded_homs(src, dst, domain):
+            for f in graded_homs(src, dst, domain):
                 homs += 1
                 # f o phi_src == phi_dst o f^(tensor n) at output u, input T
                 forms = []
@@ -660,12 +795,7 @@ def test_graded_central_basis_is_the_stacked_nullspace(domain, window, arity):
         for oi, obj in enumerate(objects)
         for t, T in nat._graded_cells(obj, arity)
     ]
-    morphisms = [
-        (si, di, ExactMatrix(domain, f, len(src)))
-        for si, src in enumerate(objects)
-        for di, dst in enumerate(objects)
-        for f in nat._graded_homs(src, dst, domain)
-    ]
+    morphisms = _graded_category(domain, objects)
     rep = graded_central(domain, window, arity)
     assert rep.survivors == _stacked_nullspace(domain, cells, morphisms, arity)
 

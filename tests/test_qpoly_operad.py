@@ -198,6 +198,14 @@ def test_power_is_the_repeated_product():
         acc = acc * f
 
 
+def test_negative_power_is_refused():
+    # a negative exponent once looped for ever: e >>= 1 keeps -1 at -1
+    x = FieldPolynomial.variable(finite_field(2), 1, 1)
+    for e in (-1, -2, -7):
+        with pytest.raises(ValueError, match="negative exponent"):
+            x ** e
+
+
 def test_eval_poly_rejects_arguments_over_another_field():
     with pytest.raises(FieldMismatch):
         eval_poly(FieldPolynomial.variable(F2, 1, 1), [FieldPolynomial.variable(F3, 1, 1)])
