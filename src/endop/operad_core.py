@@ -88,8 +88,8 @@ class OperadDescriptor:
     raises PositionOutOfRange for a slot outside 1..w1.arity, act(sigma, w)
     relabels inputs, unit is the arity-one unit, and enumerate_arity(n,
     size_bound) lists distinct elements of arity n, each with its `.arity`.
-    A row kernel compose.row(w1, i, w2s), if compose has one, must equal
-    [compose(w1, i, w2) for w2 in w2s]; a replaced compose has none."""
+    A row kernel compose.rows(w2s), if compose has one, returns row with
+    row(w1, i) == [compose(w1, i, w2) for w2 in w2s]; a replaced compose has none."""
 
     name: str
     compose: Callable
@@ -226,18 +226,19 @@ def _row_table(make_row, values):
 
 
 def _rows(compose):
-    """compose's row kernel, compose.row(x, k, ys) == [compose(x, k, y) for y
-    in ys], or that list built one call at a time when compose has none."""
-    return getattr(compose, "row", None) or (lambda x, k, ys: [compose(x, k, y) for y in ys])
+    """compose.rows, or if compose has none, a kernel that binds a list ys to
+    row(x, k) == [compose(x, k, y) for y in ys], one call per element."""
+    return getattr(compose, "rows", None) or (lambda ys: lambda x, k: [compose(x, k, y) for y in ys])
 
 
-def _row_store(compose_row, small):
-    """row(x, k, p) == tuple(compose_row(x, k, small[p])), built the first
-    time it is asked for.  There is one memo per arity p, and all share one
-    table of values, so the rows keep one copy of each value.  Before a row
-    is built while the values number more than ROW_STORE_CAP, every row and
-    value is dropped: the store is bounded at every row it builds."""
+def _row_store(compose_rows, small):
+    """row(x, k, p) == tuple(compose_rows(small[p])(x, k)), built the first
+    time it is asked for, by one kernel bound per arity p.  There is one
+    memo per arity, and all share one table of values, so the rows keep one
+    copy of each value.  Before a row is built while the values number more
+    than ROW_STORE_CAP, every row and value is dropped."""
     values = {}
+    kernels = {p: compose_rows(ws) for p, ws in small.items()}
     memos = {p: {} for p in small}
 
     def row(x, k, p):
@@ -248,20 +249,20 @@ def _row_store(compose_row, small):
                 values.clear()
                 for other in memos.values():
                     other.clear()
-            r = memo[x, k] = tuple([values.setdefault(v, v) for v in compose_row(x, k, small[p])])
+            r = memo[x, k] = tuple([values.setdefault(v, v) for v in kernels[p](x, k)])
         return r
 
     return row
 
 
-def _sequential_associativity(compose_row, small, row) -> CheckResult:
+def _sequential_associativity(compose_rows, small, row) -> CheckResult:
     """(w1 o_i w2) o_{i+j-1} w3 = w1 o_i (w2 o_j w3), a row over w3 at a time,
     in enumeration order.
 
     In each block (arity n of w2, arity p of w3) the inner composites w2 o_j
     w3 are interned to small ints.  Every row comes from the row store but
-    the outer one, w1 o_i d over the distinct inner composites d: that lives
-    for one (w1, i), and a right-hand row is read from it by ids.
+    the outer one, w1 o_i d over the distinct inner composites d, built by a
+    kernel bound to d: it lives for one (w1, i), and is read by ids.
     """
     check = CheckResult("sequential-associativity")
     for n, w2s in small.items():
@@ -270,13 +271,13 @@ def _sequential_associativity(compose_row, small, row) -> CheckResult:
         for p, w3s in small.items():
             inner_ids = {}
             inner = [[_intern(inner_ids, row(w2, j, p)) for j in range(1, n + 1)] for w2 in w2s]
-            distinct = list(inner_ids)
+            outer_row = compose_rows(list(inner_ids))
             for m, w1s in small.items():
                 if m < 1:
                     continue
                 for w1 in w1s:
                     for i in range(1, m + 1):
-                        outer = compose_row(w1, i, distinct)
+                        outer = outer_row(w1, i)
                         for w2, c12, inner_rows in zip(w2s, row(w1, i, n), inner):
                             for j, inner_row in enumerate(inner_rows, 1):
                                 k = i + j - 1
@@ -384,8 +385,9 @@ def _equivariance(compose, act, small) -> CheckResult:
 
     The orbits of the elements are interned once per arity.  In a block
     (arity m of w1, arity n of w2) the composites are built as rows over the
-    w2 side, one per (x, i): over the distinct orbit elements of arity n for
-    x a w1, and over the w2s for x in an orbit but not a w1.  So each pair
+    w2 side, one per (x, i), by kernels bound per block: over the distinct
+    orbit elements of arity n for x a w1, and over the w2s for x in an
+    orbit but not a w1.  So each pair
     (sigma.w1, w2) and (w1, rho.w2) is composed once.  Slot k of w1 is
     moved to sigma(k) by sigma, with the relabelling stretch_at(sigma,
     sigma(k), n): per (w1, w2, k) the left-hand row over sigma is read from
@@ -398,7 +400,7 @@ def _equivariance(compose, act, small) -> CheckResult:
     enumeration order.
     """
     check = CheckResult("equivariance")
-    compose_row = _rows(compose)
+    compose_rows = _rows(compose)
     # arity -> the elements, Sigma_n, ids of the elements and of their orbits,
     # the values by id (the elements first), and the number of distinct elements
     tables = {}
@@ -421,9 +423,9 @@ def _equivariance(compose, act, small) -> CheckResult:
             values = {}
             stretched = _row_table(lambda c, k: [act(tau, c) for tau in stretches[k]], values)
             embedded = _row_table(lambda c, k: [act(tau, c) for tau in embeddings[k]], values)
-            w2_side = values2[:distinct2]
+            over_orbits, over_w2s = compose_rows(values2), compose_rows(values2[:distinct2])
             composites = [
-                [compose_row(x, i, values2 if a < distinct1 else w2_side) for i in slots]
+                [(over_orbits if a < distinct1 else over_w2s)(x, i) for i in slots]
                 for a, x in enumerate(values1)
             ]
             for w1, a, orbit1 in zip(w1s, own1, orbits1):
@@ -484,8 +486,8 @@ def check_operad_axioms(
     order, and keeps the failing instance first in enumeration order.  So
     P.compose and P.act must be functions of their inputs and return
     hashable elements.  The associativity and equivariance checks build
-    their rows with P.compose.row when it exists (see OperadDescriptor), and
-    with one P.compose call per element if not.
+    their rows with kernels bound by P.compose.rows when it exists (see
+    OperadDescriptor), and with one P.compose call per element if not.
     """
     if triple_size_bound is None:
         triple_size_bound = size_bound
@@ -513,9 +515,9 @@ def check_operad_axioms(
                     unit_right.fail("{w} o_{i} 1 = {got}", w=w, i=i, got=got)
     report.checks.append(unit_left)
     report.checks.append(unit_right)
-    compose_row = _rows(compose)
-    row = _row_store(compose_row, small)
-    report.checks.append(_sequential_associativity(compose_row, small, row))
+    compose_rows = _rows(compose)
+    row = _row_store(compose_rows, small)
+    report.checks.append(_sequential_associativity(compose_rows, small, row))
     report.checks.append(_parallel_commutation(small, row))
     del row  # not kept through the action checks
 

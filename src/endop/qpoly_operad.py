@@ -242,40 +242,46 @@ class QPolynomial(FieldPolynomial):
         return out
 
 
-def qpoly_compose_row(f: QPolynomial, i: int, gs) -> list:
-    """[qpoly_compose(f, i, g) for g in gs], with f's terms split at X_i
-    once.  A monomial f in which X_i occurs maps g's terms, in order, to
-    distinct terms: nothing recombines, and the result needs no sorting."""
-    _, m, fterms, key = f
-    if not 1 <= i <= m:
-        raise PositionOutOfRange(f"slot {i} out of 1..{m}")
-    field = key.field
-    times = field.mul  # products are nonzero: F_q has no zero divisors
-    split = [(exp[i - 1], exp[: i - 1], exp[i:], coeff) for exp, coeff in fterms]
-    monomial = len(split) == 1 and split[0][0] > 0
-    if monomial:
-        (e_i, before, after, coeff), = split
-    row = []
-    for _, n, gterms, gkey in gs:
-        if key != gkey:
-            raise FieldMismatch("operands over different fields")
+def qpoly_compose_rows(gs):
+    """row(f, i) == [qpoly_compose(f, i, g) for g in gs], gs read once, with
+    f's terms split at X_i once per row.  A monomial f in which X_i occurs
+    maps g's terms, in order, to distinct terms: nothing recombines, and the
+    result needs no sorting."""
+    gs = list(gs)
+
+    def row(f, i):
+        _, m, fterms, key = f
+        if not 1 <= i <= m:
+            raise PositionOutOfRange(f"slot {i} out of 1..{m}")
+        field = key.field
+        times = field.mul  # products are nonzero: F_q has no zero divisors
+        split = [(exp[i - 1], exp[: i - 1], exp[i:], coeff) for exp, coeff in fterms]
+        monomial = len(split) == 1 and split[0][0] > 0
         if monomial:
-            terms = tuple([
-                (before + tuple([e * e_i for e in gexp]) + after, times(coeff, gcoeff))
-                for gexp, gcoeff in gterms
-            ])
-        else:
-            terms = _collect(field, (
-                (before + tuple([e * e_i for e in gexp]) + after, times(coeff, gcoeff))
-                for e_i, before, after, coeff in split
-                for gexp, gcoeff in gterms
-            ))
-        row.append(_new(QPolynomial, (POLY_TAG, m + n - 1, terms, key)))
+            (e_i, before, after, coeff), = split
+        out = []
+        for _, n, gterms, gkey in gs:
+            if key != gkey:
+                raise FieldMismatch("operands over different fields")
+            if monomial:
+                terms = tuple([
+                    (before + tuple([e * e_i for e in gexp]) + after, times(coeff, gcoeff))
+                    for gexp, gcoeff in gterms
+                ])
+            else:
+                terms = _collect(field, (
+                    (before + tuple([e * e_i for e in gexp]) + after, times(coeff, gcoeff))
+                    for e_i, before, after, coeff in split
+                    for gexp, gcoeff in gterms
+                ))
+            out.append(_new(QPolynomial, (POLY_TAG, m + n - 1, terms, key)))
+        return out
+
     return row
 
 
 def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
-    """Substitute g for X_i in f: the one-element row of qpoly_compose_row.
+    """Substitute g for X_i in f: the one-element row of qpoly_compose_rows.
 
     X_i^(q^e) becomes g^(q^e) = sum c_N N^(q^e): the q^e-th power map is
     additive in characteristic p and fixes every c in F_q.  The variables of
@@ -283,10 +289,10 @@ def qpoly_compose(f: QPolynomial, i: int, g: QPolynomial) -> QPolynomial:
     recombine, and zero coefficients drop out.  Substitution keeps the
     q-power shape, so the result is built unchecked.
     """
-    return qpoly_compose_row(f, i, (g,))[0]
+    return qpoly_compose_rows((g,))(f, i)[0]
 
 
-qpoly_compose.row = qpoly_compose_row
+qpoly_compose.rows = qpoly_compose_rows
 
 
 def qpoly_perm_act(sigma, f: QPolynomial) -> QPolynomial:

@@ -166,6 +166,9 @@ class RationalField(Domain):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
@@ -217,6 +220,9 @@ class IntegersMod(Domain):
 
     def neg(self, a):
         return (-a) % self.m
+
+    def sub(self, a, b):
+        return (a - b) % self.m
 
     def mul(self, a, b):
         return (a * b) % self.m
@@ -390,6 +396,11 @@ class FiniteField(Domain):
         if self.k == 1:
             return self.p - a
         return self._encode([-c % self.p for c in self._digits(a)])
+
+    def sub(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        return (a - b) % self.p if self.k == 1 else super().sub(a, b)
 
     def mul(self, a, b):
         if not a or not b:

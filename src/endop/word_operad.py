@@ -7,7 +7,7 @@ Letters are stored as signed integers: +i for x_i, -i for its inverse.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import itemgetter, neg
 
 from .errors import IndexOutOfRange, OperadMismatch, PositionOutOfRange
 from .operad_core import OperadDescriptor
@@ -69,7 +69,7 @@ class ReducedWord(tuple):
         return ReducedWord, (self[1], self[2])
 
     def inverse(self):
-        return _word(self[1], tuple(-v for v in reversed(self[2])))
+        return _word(self[1], tuple(map(neg, reversed(self[2]))))
 
 
 def _word(arity, letters) -> ReducedWord:
@@ -92,61 +92,81 @@ def _relabel(letters, i, up):
     return tuple([v + up if v > i else v - up if v < -i else v for v in letters])
 
 
-def word_compose_row(w1: ReducedWord, i: int, w2s) -> list:
-    """[word_compose(w1, i, w2) for w2 in w2s].
+def word_compose_rows(w2s):
+    """row(w1, i) == [word_compose(w1, i, w2) for w2 in w2s], w2s read once.
 
-    What depends on w2 only through its arity is done once per arity: w1
+    What depends on w2s alone is built once per shift i - 1, when a row
+    first needs it: the w2s' letters shifted to x_i.., the blocks, and their
+    inverses, each the block of w2's inverse word when that is in w2s.  What
+    depends on w2 only through its arity is done once per row and arity: w1
     relabelled when it has no letter x_i^(+-1), else w1 split at those
-    letters and its segments relabelled.  Per w2 the shifted block, or its
-    inverse, fills each cut.  Its generators x_i..x_(i+n-1) are none of the
+    letters and its segments relabelled.  Per w2 the block, or its inverse,
+    fills each cut.  Its generators x_i..x_(i+n-1) are none of the
     segments', so letters can cancel only where two blocks meet, across an
     empty segment or an empty w2, and only then is the result reduced.
     """
-    _, m, letters = w1
-    if not 1 <= i <= m:
-        raise PositionOutOfRange(f"slot {i} out of 1..{m}")
-    by_arity = {}
-    row = []
-    if i not in letters and -i not in letters:
-        # a relabelling of w1's generators, which keeps the word reduced
-        for _, n, _ in w2s:
-            w = by_arity.get(n)
-            if w is None:
-                w = by_arity[n] = _word(m + n - 1, _relabel(letters, i, n - 1))
-            row.append(w)
-        return row
-    cuts = [t for t, v in enumerate(letters) if v == i or v == -i]
-    ends = cuts[1:] + [len(letters)]
-    blocks_meet = len(cuts) > 1 and any(b == a + 1 for a, b in zip(cuts, ends))
-    inverted = -i in letters
-    shift = i - 1
-    for _, n, block in w2s:
-        parts = by_arity.get(n)
-        if parts is None:
+    w2s = list(w2s)
+    arities = {n for _, n, _ in w2s}
+    shifted = {}  # shift -> the blocks
+    inverses = {}  # shift -> the blocks' inverses
+    partners = []  # per w2, the position of its inverse word in w2s, or None
+
+    def row(w1, i):
+        _, m, letters = w1
+        if not 1 <= i <= m:
+            raise PositionOutOfRange(f"slot {i} out of 1..{m}")
+        if i not in letters and -i not in letters:
+            # a relabelling of w1's generators, which keeps the word reduced
+            words = {n: _word(m + n - 1, _relabel(letters, i, n - 1)) for n in arities}
+            return [words[n] for _, n, _ in w2s]
+        cuts = [t for t, v in enumerate(letters) if v == i or v == -i]
+        ends = cuts[1:] + [len(letters)]
+        blocks_meet = len(cuts) > 1 and any(b == a + 1 for a, b in zip(cuts, ends))
+        shift = i - 1
+        blocks = shifted.get(shift)
+        if blocks is None:
+            blocks = shifted[shift] = [
+                tuple([v + shift if v > 0 else v - shift for v in b]) if shift else b
+                for _, _, b in w2s
+            ]
+        inverted = blocks
+        if -i in letters:
+            inverted = inverses.get(shift)
+            if inverted is None:
+                if not partners:
+                    index = {w: t for t, w in enumerate(w2s)}
+                    partners[:] = [index.get(w.inverse()) for w in w2s]
+                inverted = inverses[shift] = [
+                    tuple(map(neg, reversed(block))) if t is None else blocks[t]
+                    for t, block in zip(partners, blocks)
+                ]
+        parts = {}
+        for n in arities:
             relabelled = _relabel(letters, i, n - 1)
-            parts = by_arity[n] = relabelled[: cuts[0]], [
+            parts[n] = relabelled[: cuts[0]], [
                 (relabelled[a] > 0, relabelled[a + 1 : b]) for a, b in zip(cuts, ends)
             ]
-        if shift:
-            block = tuple([v + shift if v > 0 else v - shift for v in block])
-        inverse = tuple([-v for v in reversed(block)]) if inverted else block
-        raw, segments = parts
-        for positive, segment in segments:
-            raw += (block if positive else inverse) + segment
-        if blocks_meet or not block:
-            raw = _reduce_letters(raw)
-        row.append(_new(ReducedWord, (WORD_TAG, m + n - 1, raw)))
+        out = []
+        for (_, n, _), block, inverse in zip(w2s, blocks, inverted):
+            raw, segments = parts[n]
+            for positive, segment in segments:
+                raw += (block if positive else inverse) + segment
+            if blocks_meet or not block:
+                raw = _reduce_letters(raw)
+            out.append(_new(ReducedWord, (WORD_TAG, m + n - 1, raw)))
+        return out
+
     return row
 
 
 def word_compose(w1: ReducedWord, i: int, w2: ReducedWord) -> ReducedWord:
     """Substitute w2 for x_i in w1, freely reduced: w2's generators shift to
     slots i..i+n-1, w1's above i shift up by n-1, and x_i^-1 receives the
-    inverse word.  The one-element row of word_compose_row."""
-    return word_compose_row(w1, i, (w2,))[0]
+    inverse word.  The one-element row of word_compose_rows."""
+    return word_compose_rows((w2,))(w1, i)[0]
 
 
-word_compose.row = word_compose_row
+word_compose.rows = word_compose_rows
 
 
 def word_perm_act(sigma, w: ReducedWord) -> ReducedWord:

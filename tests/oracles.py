@@ -3,13 +3,13 @@ exhaustive generator trees of the q-power operad with one step of its
 presentation relations, reading a field back from its JSON form, the
 identity and the relabelling action of permutations, projections and
 transposes as plain functions, word evaluation in a semigroup with
-involution, word composition by raw substitution, the closed-form count
-of reduced words, and the list of every degree-zero map between two graded
-modules."""
+involution, word composition by raw substitution, the contract of a bound
+row kernel, the closed-form count of reduced words, and the list of every
+degree-zero map between two graded modules."""
 
 from itertools import product
 
-from endop.errors import BoundExceeded
+from endop.errors import BoundExceeded, PositionOutOfRange
 from endop.linalg import ExactMatrix
 from endop.naturality import HOM_ENUMERATION_CAP
 from endop.qpoly_operad import TreeLeaf, TreeMu, TreePq
@@ -66,6 +66,34 @@ def substitute(w1, i, w2):
 def compose_by_substitution(w1, i, w2):
     """w1 o_i w2 as the substituted letters, then free_reduce."""
     return free_reduce(substitute(w1, i, w2), w1.arity + w2.arity - 1)
+
+
+def check_bound_rows(rows, oracle, x, ys, rng):
+    """Assert the contract of the row kernel rows against oracle(x, k, y).
+
+    rows is bound to ys given as a list, a tuple and a generator.  Each
+    bound kernel is called at every slot k of x twice, in an order shuffled
+    by rng, and must give [oracle(x, k, y) for y in ys] each time, also
+    after the caller's list has been changed.  A slot outside 1..x.arity
+    must be refused with PositionOutOfRange by the row call, not by binding.
+    """
+    ys = list(ys)
+    expected = {k: [oracle(x, k, y) for y in ys] for k in range(1, x.arity + 1)}
+    for bound in (list(ys), tuple(ys), (y for y in ys)):
+        row = rows(bound)
+        if isinstance(bound, list):
+            bound.reverse()
+            bound.append(x)
+        slots = [*expected, *expected]
+        rng.shuffle(slots)
+        for k in slots:
+            assert row(x, k) == expected[k], (x, k, ys)
+        for k in (0, x.arity + 1):
+            try:
+                row(x, k)
+            except PositionOutOfRange:
+                continue
+            raise AssertionError(f"slot {k} of {x} was not refused")
 
 
 def reduced_word_count(n: int, length: int) -> int:

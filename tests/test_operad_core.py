@@ -2,10 +2,14 @@
 axiom checker, and the one-object scalar operad."""
 
 import copy
+import importlib
+import inspect
 import os
 import pickle
+import random
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from itertools import product
 
@@ -42,11 +46,21 @@ from endop.word_operad import (
     WORD_TAG,
     ReducedWord,
     word_compose,
-    word_compose_row,
+    word_compose_rows,
+    word_enumerate,
     word_operad,
     word_perm_act,
 )
-from oracles import identity_perm, project, reduced_word_count
+from oracles import (
+    check_bound_rows,
+    compose_by_substitution,
+    identity_perm,
+    project,
+    reduced_word_count,
+)
+
+# the module, which endop's package namespace shadows with the function word_operad
+word_operad_module = importlib.import_module("endop.word_operad")
 
 
 def test_perm_defining_relations():
@@ -467,38 +481,59 @@ def test_a_replaced_compose_falls_back_to_one_call_per_element():
     rep = check_operad_axioms(replace(word_operad(), compose=counting), 2, 2)
     assert calls == 21_194
     assert rep.passed and rep.to_json_dict() == lawful.to_json_dict()
-    assert word_operad().compose.row is word_compose_row
-    assert not hasattr(corrupted_operad("word-reduce").compose, "row")
+    assert word_operad().compose.rows is word_compose_rows
+    for fault in ("word-reduce", "perm-compose"):
+        assert not hasattr(corrupted_operad(fault).compose, "rows")
 
     # given a row kernel, the same compose has its rows built by it; only
     # the unit laws still make one call per composite
     calls, rows, entries = 0, 0, 0
 
-    def row(w1, i, w2s):
-        nonlocal rows, entries
-        rows += 1
-        entries += len(w2s)
-        return word_compose_row(w1, i, w2s)
+    def bind(w2s):
+        kernel = word_compose_rows(w2s)
 
-    counting.row = row
+        def row(w1, i):
+            nonlocal rows, entries
+            out = kernel(w1, i)
+            rows += 1
+            entries += len(out)
+            return out
+
+        return row
+
+    counting.rows = bind
     rep = check_operad_axioms(replace(word_operad(), compose=counting), 2, 2)
     assert rep.to_json_dict() == lawful.to_json_dict()
     assert rows > 0 and calls + entries == 21_194
 
 
+def counted_rows(count):
+    """word_compose_rows with count() called once per row built."""
+
+    def bind(w2s):
+        kernel = word_compose_rows(w2s)
+
+        def row(w1, i):
+            count()
+            return kernel(w1, i)
+
+        return row
+
+    return bind
+
+
 def rows_built(arity_bound, size_bound):
-    """The row-kernel calls of the word check at the given bounds."""
+    """The calls of bound row kernels in the word check at the given bounds."""
     rows = 0
 
     def compose(w1, i, w2):
         return word_compose(w1, i, w2)
 
-    def row(w1, i, w2s):
+    def count():
         nonlocal rows
         rows += 1
-        return word_compose_row(w1, i, w2s)
 
-    compose.row = row
+    compose.rows = counted_rows(count)
     assert check_operad_axioms(replace(word_operad(), compose=compose), arity_bound, size_bound).passed
     return rows
 
@@ -528,12 +563,11 @@ def test_equivariance_builds_its_composites_with_the_row_kernel():
         calls += 1
         return word_compose(w1, i, w2)
 
-    def row(w1, i, w2s):
+    def count():
         nonlocal rows
         rows += 1
-        return word_compose_row(w1, i, w2s)
 
-    counting.row = row
+    counting.rows = counted_rows(count)
     rep = _equivariance(counting, word_perm_act, _elements_by_arity(word_operad(), 2, 2))
     assert (rep.instances, rep.witness) == (3127, None)
     assert (calls, rows) == (0, 2 * (5 * 1 + 17 * 2))
@@ -578,27 +612,27 @@ def _rows_keyed_by_x_alone(make_row, values):
     return row
 
 
-def _store_keyed_by_x_alone(compose_row, small):
+def _store_keyed_by_x_alone(compose_rows, small):
     """Wrong: the memo of each arity forgets the slot, so (x, k, p) and
     (x, k', p) with k != k' share one row."""
     memos = {p: {} for p in small}
 
     def row(x, k, p):
         if x not in memos[p]:
-            memos[p][x] = tuple(compose_row(x, k, small[p]))
+            memos[p][x] = tuple(compose_rows(small[p])(x, k))
         return memos[p][x]
 
     return row
 
 
-def _store_with_one_memo(compose_row, small):
+def _store_with_one_memo(compose_rows, small):
     """Wrong: one memo for every arity, so the row of (x, k) first built over
     the elements of one arity is served over every arity."""
     memo = {}
 
     def row(x, k, p):
         if (x, k) not in memo:
-            memo[x, k] = tuple(compose_row(x, k, small[p]))
+            memo[x, k] = tuple(compose_rows(small[p])(x, k))
         return memo[x, k]
 
     return row
@@ -643,6 +677,62 @@ def test_three_element_checks_catch_a_row_store_with_one_memo_for_every_arity(mo
     for P, arity_bound, size_bound, _ in THREE_ELEMENT_CASES:
         with pytest.raises(PositionOutOfRange):
             check_operad_axioms(P, arity_bound, size_bound)
+
+
+# -- mutants of the caches of the bound word kernel -----------------------------
+#
+# Each mutant is word_compose_rows with one line changed, compiled in the
+# namespace of endop.word_operad.  It must break the bound-kernel contract
+# over a right-hand list closed under inversion, and, installed as the row
+# kernel of word_compose, move the three-element checks of a lawful word
+# case away from their one-by-one oracle.
+
+KERNEL_MUTANTS = {
+    # the blocks of the first shift met are served at every shift
+    "blocks-of-the-first-shift": (
+        "blocks = shifted.get(shift)",
+        "blocks = next(iter(shifted.values()), None)",
+    ),
+    # the partners by position: the one found for a w2 is given to the w2 at
+    # the mirrored position.  (Pairing each w2 with itself is not pinned:
+    # over lists closed under inversion it makes x_i^-1 receive w2 unchanged,
+    # which no check at (2, 1), (3, 1) or (2, 2) tells from the law.)
+    "partners-by-position": (
+        "partners[:] = [index.get(w.inverse()) for w in w2s]",
+        "partners[:] = [index.get(w.inverse()) for w in reversed(w2s)]",
+    ),
+    # the inverse is the partner's block before its shift
+    "inverse-of-the-unshifted-block": ("else blocks[t]", "else w2s[t][2]"),
+}
+
+
+def _mutant_kernel(old, new):
+    source = textwrap.dedent(inspect.getsource(word_operad_module.word_compose_rows))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(source.replace(old, new), vars(word_operad_module), namespace)
+    return namespace["word_compose_rows"]
+
+
+@pytest.mark.parametrize("mutant", KERNEL_MUTANTS)
+def test_bound_kernel_mutants_are_caught(monkeypatch, mutant):
+    rows = _mutant_kernel(*KERNEL_MUTANTS[mutant])
+    rng = random.Random(3)
+    broken = 0
+    for x in word_enumerate(3, 2):
+        try:
+            check_bound_rows(rows, compose_by_substitution, x, word_enumerate(2, 2), rng)
+        except AssertionError:
+            broken += 1
+    assert broken
+    monkeypatch.setattr(word_compose, "rows", rows)
+    moved = 0
+    for P, arity_bound, size_bound, _ in THREE_ELEMENT_CASES:
+        if P.compose is word_compose:
+            rep = check_operad_axioms(P, arity_bound, size_bound)
+            got = [(c.instances, c.witness) for c in rep.checks[2:4]]
+            moved += got != three_element_checks_one_by_one(P, arity_bound, size_bound)
+    assert moved
 
 
 def test_corrupted_perm_is_caught_with_named_witness():

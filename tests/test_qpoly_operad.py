@@ -33,6 +33,7 @@ from endop.qpoly_operad import (
     monomial_tree,
     multilinearity_check,
     qpoly_compose,
+    qpoly_compose_rows,
     qpoly_from_tree,
     qpoly_operad,
     qpoly_perm_act,
@@ -40,7 +41,7 @@ from endop.qpoly_operad import (
 )
 from endop.scalars import FiniteField, finite_field
 from endop.word_operad import WORD_TAG, ReducedWord
-from oracles import enumerate_trees, rewrite_once
+from oracles import check_bound_rows, enumerate_trees, rewrite_once
 
 # the module itself: the package binds the name qpoly_operad to the function
 qpoly_operad_module = importlib.import_module("endop.qpoly_operad")
@@ -332,6 +333,19 @@ def test_compose_matches_substitution_oracle():
     assert qpoly_compose(f, 1, g) == _substitute(f, 1, g)
 
 
+def test_bound_qpoly_kernel_keeps_its_contract():
+    """Kernels bound to lists of mixed arities, with monomials and sums, a
+    duplicate, and the empty list, give the substitution oracle's rows."""
+    rng = random.Random(13)
+    for F in (F2, F3, F4):
+        gs = [_random_qpoly(rng, F, rng.randint(1, 3)) for _ in range(4)]
+        for ys in (gs + gs[:1], []):
+            for _ in range(5):
+                f = _random_qpoly(rng, F, rng.randint(1, 3))
+                check_bound_rows(qpoly_compose_rows, _substitute, f, ys, rng)
+    assert qpoly_compose.rows is qpoly_compose_rows
+
+
 def test_unchecked_results_pass_the_validating_constructor():
     """compose and perm_act skip the shape check; rebuilding each result
     through the constructor must give it back unchanged."""
@@ -435,7 +449,7 @@ def test_compose_sorts_and_cancels():
     assert h == QPolynomial.parse(F2, 2, "X1*X2^2 + X1^2*X2^2 + X1^2*X2 + X1^4*X2")
     assert [exp for exp, _ in h[2]] == [(1, 2), (2, 1), (2, 2), (4, 1)]
     for p in (f, g, h):
-        assert qpoly_compose.row(p, 1, [f, g, f]) == [qpoly_compose(p, 1, x) for x in (f, g, f)]
+        assert qpoly_compose.rows([f, g, f])(p, 1) == [qpoly_compose(p, 1, x) for x in (f, g, f)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -477,7 +491,7 @@ def test_fields_stay_apart():
     assert hash(QPolynomial.monomial(FiniteField(2), (1,))) == hash(x2)
     for mixed in (
         lambda: qpoly_compose(x2, 1, x4),
-        lambda: qpoly_compose.row(x2, 1, [x2, x4]),
+        lambda: qpoly_compose.rows([x2, x4])(x2, 1),
         lambda: x2 + x4,
         lambda: x2 * x4,
         lambda: eval_poly(x2, [x4]),
@@ -516,18 +530,20 @@ def _met_terms(f, i, g):
     return out
 
 
-def _unsorted_row(f, i, gs):
+def _unsorted_row(gs):
     """Wrong: the terms in the order substitution meets them."""
-    return [
+    gs = list(gs)
+    return lambda f, i: [
         tuple.__new__(QPolynomial, (POLY_TAG, f.arity + g.arity - 1,
                                     tuple((e, c) for e, c in _met_terms(f, i, g).items() if c), f[3]))
         for g in gs
     ]
 
 
-def _zero_keeping_row(f, i, gs):
+def _zero_keeping_row(gs):
     """Wrong: sorted, but the terms that cancel stay with coefficient zero."""
-    return [
+    gs = list(gs)
+    return lambda f, i: [
         tuple.__new__(QPolynomial, (POLY_TAG, f.arity + g.arity - 1,
                                     tuple(sorted(_met_terms(f, i, g).items())), f[3]))
         for g in gs
@@ -538,6 +554,6 @@ def _zero_keeping_row(f, i, gs):
 @pytest.mark.parametrize("oracle", [test_compose_sorts_and_cancels, test_compose_matches_substitution_oracle])
 def test_non_canonical_compose_mutants_are_caught(monkeypatch, mutant, oracle):
     oracle()
-    monkeypatch.setattr(qpoly_operad_module, "qpoly_compose_row", mutant)
+    monkeypatch.setattr(qpoly_operad_module, "qpoly_compose_rows", mutant)
     with pytest.raises(AssertionError):
         oracle()

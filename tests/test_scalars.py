@@ -119,12 +119,24 @@ def test_rational_scalar_matches_fraction(x, y):
     assert (a + b).value == x + y
     assert (a * b).value == x * y
     assert (-a).value == -x
+    assert (a - b).value == QQ.sub(x, y) == x - y
     # canonical form: positive denominator, reduced
     v = (a + b).value
     assert v.denominator > 0
     from math import gcd
 
     assert gcd(v.numerator, v.denominator) == 1
+
+
+@pytest.mark.parametrize(
+    "D",
+    [IntegersMod(m) for m in range(2, 13)] + [finite_field(q) for q in (2, 3, 4, 5, 8, 9)],
+    ids=str,
+)
+def test_sub_is_add_of_neg(D):
+    """Each domain's direct sub agrees with a + (-b) on every pair."""
+    pairs = list(product(D.elements(), repeat=2))
+    assert [D.sub(a, b) for a, b in pairs] == [D.add(a, D.neg(b)) for a, b in pairs]
 
 
 def test_zmod_arithmetic():

@@ -5,6 +5,7 @@ import copy
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from itertools import product
@@ -29,12 +30,18 @@ from endop.word_operad import (
     group_eval,
     parse_word,
     word_compose,
-    word_compose_row,
+    word_compose_rows,
     word_enumerate,
     word_operad,
     word_perm_act,
 )
-from oracles import compose_by_substitution, reduced_word_count, semigroup_eval, substitute
+from oracles import (
+    check_bound_rows,
+    compose_by_substitution,
+    reduced_word_count,
+    semigroup_eval,
+    substitute,
+)
 
 S3 = symmetric_group_3()
 
@@ -131,11 +138,12 @@ def test_word_compose_matches_substitution_oracle():
         assert got.letters == naive_reduce(raw), (w1, i, w2)
         if len(got) < len(raw):
             cancelling.append((w1, i, w2))
-    # a row over a whole word list gives the same composites
+    # a kernel bound to a whole word list gives the same composites
     for words in (short_words, long_words):
+        row = word_compose_rows(words)
         for w1 in words:
             for i in range(1, w1.arity + 1):
-                assert word_compose_row(w1, i, words) == [composites[w1, i, w2] for w2 in words]
+                assert row(w1, i) == [composites[w1, i, w2] for w2 in words]
     # both shortcuts are exercised: x_i absent (a relabelling), and x_i
     # present, also inverted, with cancellation where pieces meet, also
     # around an empty w2
@@ -157,18 +165,38 @@ def words_of_arity(n):
     st.integers(1, 4).flatmap(words_of_arity),
     st.lists(st.integers(0, 4).flatmap(words_of_arity), max_size=8),
     st.integers(0, 4),
+    st.randoms(use_true_random=False),
 )
-def test_word_compose_row_matches_substitution_oracle(x, ys, empty_arity):
-    ys = ys + [ReducedWord(empty_arity, ())]
+def test_word_compose_row_matches_substitution_oracle(x, ys, empty_arity, rng):
+    """A kernel bound to words of mixed arities, with the empty word, the
+    inverses of some words but not of others, and a duplicate, keeps the
+    bound-kernel contract; word_compose one at a time gives the same."""
+    ys = ys + [ReducedWord(empty_arity, ())] + [y.inverse() for y in ys[::2]] + ys[:1]
+    check_bound_rows(word_compose_rows, compose_by_substitution, x, ys, rng)
     for k in range(1, x.arity + 1):
-        expected = [compose_by_substitution(x, k, y) for y in ys]
-        assert word_compose_row(x, k, ys) == expected
-        assert [word_compose(x, k, y) for y in ys] == expected
+        assert [word_compose(x, k, y) for y in ys] == [compose_by_substitution(x, k, y) for y in ys]
     for k in (0, x.arity + 1):
         with pytest.raises(PositionOutOfRange):
-            word_compose_row(x, k, ys)
-        with pytest.raises(PositionOutOfRange):
             word_compose(x, k, ys[0])
+
+
+# a left operand with x_1, x_2 and x_3 inverted, blocks meeting, and cuts at
+# both ends; right-hand lists closed under inversion, with no inverses, with
+# duplicates, and empty
+BOUND_KERNEL_CASES = {
+    "closed": word_enumerate(2, 2),
+    "no-inverses": [ReducedWord(2, (1, 2)), ReducedWord(1, (1, 1)), ReducedWord(3, (3, -1))],
+    "duplicates": [ReducedWord(1, (1,)), ReducedWord(0, ()), ReducedWord(1, (1,))] * 2,
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("case", BOUND_KERNEL_CASES)
+def test_bound_word_kernel_keeps_its_contract(case):
+    rng = random.Random(5)
+    ys = BOUND_KERNEL_CASES[case]
+    for x in [ReducedWord(1, (1,)), ReducedWord(3, (-1, 2, -3, -3, 1, -2))] + word_enumerate(3, 2):
+        check_bound_rows(word_compose_rows, compose_by_substitution, x, ys, rng)
 
 
 def test_reduced_word_contract():
