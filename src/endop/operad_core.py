@@ -11,6 +11,7 @@ CheckResult per check.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
@@ -89,7 +90,10 @@ class OperadDescriptor:
     relabels inputs, unit is the arity-one unit, and enumerate_arity(n,
     size_bound) lists distinct elements of arity n, each with its `.arity`.
     A row kernel compose.rows(w2s), if compose has one, returns row with
-    row(w1, i) == [compose(w1, i, w2) for w2 in w2s]; a replaced compose has none."""
+    row(w1, i) == [compose(w1, i, w2) for w2 in w2s]; a replaced compose has
+    none.  The checker builds every composite as such a row, and keeps those
+    it reads more than once in one row store with one drop rule (see
+    check_operad_axioms)."""
 
     name: str
     compose: Callable
@@ -209,47 +213,31 @@ def _intern(ids, values):
     return [ids.setdefault(v, len(ids)) for v in values]
 
 
-def _row_table(make_row, values):
-    """row(x, k) == tuple(make_row(x, k)), built the first time (x, k) is
-    asked for.  Its entries are the first-met copies in the table values, so
-    the rows of tables sharing values keep one copy of each value and
-    compare equal by identity."""
-    memo = {}
-
-    def row(x, k):
-        r = memo.get((x, k))
-        if r is None:
-            r = memo[x, k] = tuple([values.setdefault(v, v) for v in make_row(x, k)])
-        return r
-
-    return row
-
-
 def _rows(compose):
     """compose.rows, or if compose has none, a kernel that binds a list ys to
     row(x, k) == [compose(x, k, y) for y in ys], one call per element."""
     return getattr(compose, "rows", None) or (lambda ys: lambda x, k: [compose(x, k, y) for y in ys])
 
 
-def _row_store(compose_rows, small):
-    """row(x, k, p) == tuple(compose_rows(small[p])(x, k)), built the first
-    time it is asked for, by one kernel bound per arity p.  There is one
-    memo per arity, and all share one table of values, so the rows keep one
-    copy of each value.  Before a row is built while the values number more
-    than ROW_STORE_CAP, every row and value is dropped."""
+def _row_store(makers):
+    """row(x, k, key) == tuple(makers[key](x, k)), built the first time it is
+    asked for.  There is one memo per key, and all share one table of
+    values, so the rows keep one copy of each value.  A caller may register
+    more makers in the dict while the store is in use.  Before a row is
+    built while the values number more than ROW_STORE_CAP, every row and
+    value is dropped."""
     values = {}
-    kernels = {p: compose_rows(ws) for p, ws in small.items()}
-    memos = {p: {} for p in small}
+    memos = defaultdict(dict)
 
-    def row(x, k, p):
-        memo = memos[p]
+    def row(x, k, key):
+        memo = memos[key]
         r = memo.get((x, k))
         if r is None:
             if len(values) > ROW_STORE_CAP:
                 values.clear()
-                for other in memos.values():
-                    other.clear()
-            r = memo[x, k] = tuple([values.setdefault(v, v) for v in kernels[p](x, k)])
+                memos.clear()
+                memo = memos[key]
+            r = memo[x, k] = tuple([values.setdefault(v, v) for v in makers[key](x, k)])
         return r
 
     return row
@@ -379,65 +367,60 @@ def _first_in_order(lhs_rows, rhs_rows, sources):
     )
 
 
-def _equivariance(compose, act, small) -> CheckResult:
+def _acting(act, taus):
+    """A row maker: row(c, k) == [act(tau, c) for tau in taus[k]]."""
+    return lambda c, k: [act(tau, c) for tau in taus[k]]
+
+
+def _equivariance(compose_rows, act, small, makers, row) -> CheckResult:
     """(sigma.w1) o_i w2 = stretch.(w1 o_{sigma^-1(i)} w2) and w1 o_i (rho.w2)
     = embed.(w1 o_i w2), compared as whole rows.
 
-    The orbits of the elements are interned once per arity.  In a block
-    (arity m of w1, arity n of w2) the composites are built as rows over the
-    w2 side, one per (x, i), by kernels bound per block: over the distinct
-    orbit elements of arity n for x a w1, and over the w2s for x in an
-    orbit but not a w1.  So each pair
-    (sigma.w1, w2) and (w1, rho.w2) is composed once.  Slot k of w1 is
-    moved to sigma(k) by sigma, with the relabelling stretch_at(sigma,
-    sigma(k), n): per (w1, w2, k) the left-hand row over sigma is read from
-    the composite rows by index, and the right-hand row comes from a
-    _row_table of the block keyed by (w1 o_k w2, k).  Per (w1, w2, i) the
-    left-hand row over rho is read by index, and the right-hand row comes
-    from a second _row_table, keyed by (w1 o_i w2, i); the two share one
-    table of values.  A pair whose rows differ is scanned again
-    sigma-major, so that the witness is the first failing instance in
-    enumeration order.
+    Every row comes from the row store, whose makers are registered in
+    makers.  The orbits of the elements are interned once per arity n, and
+    a kernel over their distinct values is registered under ("orbits", n).
+    Slot k of w1 is moved to sigma(k) by sigma, with the relabelling
+    stretch_at(sigma, sigma(k), n): per (w1, w2, k) the left-hand row over
+    sigma is read across the rows (sigma.w1) o_sigma(k) w2 over the w2s,
+    the arity-keyed rows that the associativity checks read, and the
+    right-hand row is acted out under ("stretch", m, n) for the block
+    (arity m of w1, arity n of w2).  Per (w1, w2, i) the left-hand row over
+    rho is read from the row of w1 o_i over the orbit values, and the
+    right-hand row is acted out under ("embed", m, n).  A pair whose rows
+    differ is scanned again sigma-major, so that the witness is the first
+    failing instance in enumeration order.
     """
     check = CheckResult("equivariance")
-    compose_rows = _rows(compose)
-    # arity -> the elements, Sigma_n, ids of the elements and of their orbits,
-    # the values by id (the elements first), and the number of distinct elements
+    # arity -> the elements, Sigma_n, the ids of their orbits, and the values
+    # by id, the elements first
     tables = {}
     for n, ws in small.items():
         if n < 1:
             continue
         perms = all_perms(n)
-        ids = {}
-        own = _intern(ids, ws)
-        distinct_ws = len(ids)
+        ids = {w: t for t, w in enumerate(ws)}
         orbits = [_intern(ids, [act(sigma, w) for sigma in perms]) for w in ws]
-        tables[n] = ws, perms, own, orbits, list(ids), distinct_ws
-    for m, (w1s, perms_m, own1, orbits1, values1, distinct1) in tables.items():
+        makers["orbits", n] = compose_rows(list(ids))
+        tables[n] = ws, perms, orbits, list(ids)
+    for m, (w1s, perms_m, orbits1, values1) in tables.items():
         slots = range(1, m + 1)
-        targets = [[sigma[k - 1] - 1 for sigma in perms_m] for k in slots]
+        targets = [[sigma[k - 1] for sigma in perms_m] for k in slots]
         sources = [[k - 1 for k in invert_perm(sigma)] for sigma in perms_m]
-        for n, (w2s, perms_n, own2, orbits2, values2, distinct2) in tables.items():
+        for n, (w2s, perms_n, orbits2, _) in tables.items():
             stretches = [[stretch_at(sigma, sigma[k - 1], n) for sigma in perms_m] for k in slots]
             embeddings = [[embed_at(m, i, rho) for rho in perms_n] for i in slots]
-            values = {}
-            stretched = _row_table(lambda c, k: [act(tau, c) for tau in stretches[k]], values)
-            embedded = _row_table(lambda c, k: [act(tau, c) for tau in embeddings[k]], values)
-            over_orbits, over_w2s = compose_rows(values2), compose_rows(values2[:distinct2])
-            composites = [
-                [(over_orbits if a < distinct1 else over_w2s)(x, i) for i in slots]
-                for a, x in enumerate(values1)
-            ]
-            for w1, a, orbit1 in zip(w1s, own1, orbits1):
-                base = composites[a]
+            stretched, embedded = ("stretch", m, n), ("embed", m, n)
+            makers[stretched], makers[embedded] = _acting(act, stretches), _acting(act, embeddings)
+            for w1, orbit1 in zip(w1s, orbits1):
+                base = [row(w1, i, ("orbits", n)) for i in slots]
                 # per slot k, the rows (sigma.w1) o_sigma(k) w2 over sigma, by w2
                 acted = [
-                    list(zip(*[composites[o][t] for o, t in zip(orbit1, target)]))
+                    list(zip(*[row(values1[o], t, n) for o, t in zip(orbit1, target)]))
                     for target in targets
                 ]
-                for w2, b, orbit2 in zip(w2s, own2, orbits2):
+                for b, (w2, orbit2) in enumerate(zip(w2s, orbits2)):
                     lhs = [rows[b] for rows in acted]
-                    rhs = [stretched(row[b], k) for k, row in enumerate(base)]
+                    rhs = [row(r[b], k, stretched) for k, r in enumerate(base)]
                     check.instances += m * len(perms_m)
                     if lhs != rhs and check.witness is None:
                         t, i = _first_in_order(lhs, rhs, sources)
@@ -445,8 +428,8 @@ def _equivariance(compose, act, small) -> CheckResult:
                             "(sigma.{w1}) o_{i} {w2} fails for sigma={sigma}",
                             w1=w1, i=i, w2=w2, sigma=perms_m[t],
                         )
-                    lhs = [tuple(map(row.__getitem__, orbit2)) for row in base]
-                    rhs = [embedded(row[b], k) for k, row in enumerate(base)]
+                    lhs = [tuple(map(r.__getitem__, orbit2)) for r in base]
+                    rhs = [row(r[b], k, embedded) for k, r in enumerate(base)]
                     check.instances += m * len(perms_n)
                     if lhs != rhs and check.witness is None:
                         k = _first_difference(lhs, rhs)
@@ -472,22 +455,22 @@ def check_operad_axioms(
     defaults to size_bound.  Arities with no elements are skipped.  Failures
     are report content, not exceptions; each failing check carries its first
     counterexample in enumeration order.  Every instance is compared, but a
-    value that repeats within a table is computed once: each memoised table
-    of rows is built on first use, and its rows keep one copy of each
-    value.  Both associativity checks read their rows, all but one
-    transient row per (w1, i), from one row store, which drops every row
-    before it builds one while it holds more than ROW_STORE_CAP values.
-    Equivariance keeps its rows in _row_tables per block, and the action
+    value that repeats within a table is computed once.  Every row of
+    composites or of acted composites that more than one instance reads
+    comes from one row store, built on first use, whose rows keep one copy
+    of each value: the rows over the elements of each arity p, registered
+    here, and those that equivariance registers.  It drops every row before
+    it builds one while it holds more than ROW_STORE_CAP values.  Sequential
+    associativity keeps one transient row per (w1, i), and the action
     checks keep the product table of Sigma_n and the orbits sigma.w per
-    arity (see the helpers).  No table outlives the call, and none but the
-    row store outlives the arity or block it is kept for.
+    arity (see the helpers).  No table outlives the call.
 
     Equivariance compares rows over sigma slot by slot, out of enumeration
     order, and keeps the failing instance first in enumeration order.  So
     P.compose and P.act must be functions of their inputs and return
-    hashable elements.  The associativity and equivariance checks build
-    their rows with kernels bound by P.compose.rows when it exists (see
-    OperadDescriptor), and with one P.compose call per element if not.
+    hashable elements.  Every composite is built by a kernel bound by
+    P.compose.rows when it exists (see OperadDescriptor), and by one
+    P.compose call per element if not.
     """
     if triple_size_bound is None:
         triple_size_bound = size_bound
@@ -497,32 +480,30 @@ def check_operad_axioms(
         if triple_size_bound == size_bound
         else _elements_by_arity(P, arity_bound, triple_size_bound)
     )
-    compose = P.compose
+    compose_rows = _rows(P.compose)
     report = AxiomReport(P.name)
 
     unit_left = CheckResult("unit-left")
     unit_right = CheckResult("unit-right")
+    right_row = compose_rows([P.unit])
     for n, ws in els.items():
-        for w in ws:
+        for w, got in zip(ws, compose_rows(ws)(P.unit, 1)):
             unit_left.instances += 1
-            got = compose(P.unit, 1, w)
             if got != w:
                 unit_left.fail("1 o_1 {w} = {got}", w=w, got=got)
             for i in range(1, n + 1):
                 unit_right.instances += 1
-                got = compose(w, i, P.unit)
+                got = right_row(w, i)[0]
                 if got != w:
                     unit_right.fail("{w} o_{i} 1 = {got}", w=w, i=i, got=got)
     report.checks.append(unit_left)
     report.checks.append(unit_right)
-    compose_rows = _rows(compose)
-    row = _row_store(compose_rows, small)
+    makers = {p: compose_rows(ws) for p, ws in small.items()}
+    row = _row_store(makers)
     report.checks.append(_sequential_associativity(compose_rows, small, row))
     report.checks.append(_parallel_commutation(small, row))
-    del row  # not kept through the action checks
-
     report.checks.append(_symmetric_action(P.act, els))
-    report.checks.append(_equivariance(compose, P.act, small))
+    report.checks.append(_equivariance(compose_rows, P.act, small, makers, row))
     return report
 
 
@@ -544,6 +525,7 @@ def check_algebra_action(
     from .errors import IncompleteEvaluation
 
     els = _elements_by_arity(P, arity_bound, size_bound)
+    compose_rows = _rows(P.compose)
     carrier = range(carrier_size)
     report = AxiomReport(P.name)
 
@@ -570,11 +552,11 @@ def check_algebra_action(
             continue
         for n, w2s in els.items():
             tuples = list(iproduct(carrier, repeat=m + n - 1))
+            composites = compose_rows(w2s)
             for w1 in w1s:
                 for i in range(1, m + 1):
                     lo, hi = i - 1, i - 1 + n
-                    for w2 in w2s:
-                        composite = P.compose(w1, i, w2)
+                    for w2, composite in zip(w2s, composites(w1, i)):
                         for args in tuples:
                             comp.instances += 1
                             inner = ev(w2, args[lo:hi])

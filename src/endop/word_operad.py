@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from operator import itemgetter, neg
 
-from .errors import IndexOutOfRange, OperadMismatch, PositionOutOfRange
+from .errors import BoundExceeded, IndexOutOfRange, OperadMismatch, PositionOutOfRange
+from .linalg import CANDIDATE_CAP
 from .operad_core import OperadDescriptor
 from .perms import require_perm
 
@@ -196,9 +197,21 @@ def group_eval(w: ReducedWord, G, args):
 
 def word_enumerate(n: int, max_length: int):
     """All reduced words of length <= max_length, ordered by length and then
-    lexicographically with x_1 < x_1^-1 < x_2 < ..."""
+    lexicographically with x_1 < x_1^-1 < x_2 < ...  Their number, 1 + the
+    sum over L = 1..max_length of 2n(2n-1)^(L-1), is counted first: past
+    CANDIDATE_CAP the words are not listed, and BoundExceeded is raised."""
     if max_length < 0:
         raise ValueError("negative length bound")
+    if n == 0:
+        max_length = 0  # the empty word is the only word without letters
+    count, layer = 1, 2 * n
+    for _ in range(max_length):
+        count += layer
+        if count > CANDIDATE_CAP:
+            raise BoundExceeded(
+                f"more than {CANDIDATE_CAP} words of arity {n} and length <= {max_length}"
+            )
+        layer *= 2 * n - 1
     alphabet = []
     for g in range(1, n + 1):
         alphabet.append(g)

@@ -4,6 +4,7 @@ determinism, and a few end-to-end subcommand results."""
 import contextlib
 import io
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -62,6 +63,29 @@ def test_all_gl_past_the_candidate_cap_fails_fast(capsys):
     assert code == 1
     validate(doc)
     assert doc["error"]["name"] == "BoundExceeded"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["word", "enumerate", "--arity1", "2", "--max-length", "13"],
+        ["group-maps", "--builtin", "z2", "--arity", "2", "--word-length", "13"],
+    ],
+)
+def test_word_enumeration_past_the_candidate_cap_fails_fast(capsys, argv):
+    # 3,188,645 reduced words of arity 2 and length <= 13 would be listed
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    validate(doc)
+    assert doc["error"]["name"] == "BoundExceeded"
+
+
+def test_word_enumeration_within_the_candidate_cap_lists(capsys):
+    code, doc = run_cli(capsys, ["word", "enumerate", "--arity1", "2", "--max-length", "11"])
+    assert code == 0
+    assert doc["result"]["count"] == len(doc["result"]["words"]) == 354_293
 
 
 def test_usage_error_exit_code():

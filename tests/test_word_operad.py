@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import endop
-from endop.errors import IndexOutOfRange, NotAGroup, PositionOutOfRange
+from endop.errors import BoundExceeded, IndexOutOfRange, NotAGroup, PositionOutOfRange
 from endop.naturality import (
     and_monoid,
     cyclic_group,
@@ -239,6 +239,11 @@ def test_word_enumerate_counts_and_order():
     assert [str(w) for w in words] == ["e", "x1", "x1^-1", "x1 x1", "x1^-1 x1^-1"]
     assert len(word_enumerate(2, 1)) == 5
     assert word_enumerate(0, 7) == [ReducedWord(0, ())]
+    assert word_enumerate(0, 10**9) == [ReducedWord(0, ())]  # without 10^9 empty layers
+    # counted before listing: 1 + 2(3^12 - 1) = 1,062,881 words exceed the cap
+    for n, bound in ((2, 12), (1, 10**9), (9, 10**9)):
+        with pytest.raises(BoundExceeded):
+            word_enumerate(n, bound)
     for n in (1, 2, 3):
         for bound in (0, 1, 2, 3):
             words = word_enumerate(n, bound)
