@@ -377,8 +377,11 @@ def _equivariance(compose_rows, act, small, makers, row) -> CheckResult:
     = embed.(w1 o_i w2), compared as whole rows.
 
     Every row comes from the row store, whose makers are registered in
-    makers.  The orbits of the elements are interned once per arity n, and
-    a kernel over their distinct values is registered under ("orbits", n).
+    makers.  The orbits of the elements are interned once per arity n.  When
+    an orbit leaves the elements, a kernel over their distinct values is
+    registered under ("orbits", n); when none does, as for words and
+    projections, those values are the elements, and their rows are the
+    arity-keyed rows under n.
     Slot k of w1 is moved to sigma(k) by sigma, with the relabelling
     stretch_at(sigma, sigma(k), n): per (w1, w2, k) the left-hand row over
     sigma is read across the rows (sigma.w1) o_sigma(k) w2 over the w2s,
@@ -391,8 +394,8 @@ def _equivariance(compose_rows, act, small, makers, row) -> CheckResult:
     failing instance in enumeration order.
     """
     check = CheckResult("equivariance")
-    # arity -> the elements, Sigma_n, the ids of their orbits, and the values
-    # by id, the elements first
+    # arity -> the elements, Sigma_n, the ids of their orbits, the values by
+    # id, the elements first, and the key of the rows over those values
     tables = {}
     for n, ws in small.items():
         if n < 1:
@@ -400,19 +403,22 @@ def _equivariance(compose_rows, act, small, makers, row) -> CheckResult:
         perms = all_perms(n)
         ids = {w: t for t, w in enumerate(ws)}
         orbits = [_intern(ids, [act(sigma, w) for sigma in perms]) for w in ws]
-        makers["orbits", n] = compose_rows(list(ids))
-        tables[n] = ws, perms, orbits, list(ids)
-    for m, (w1s, perms_m, orbits1, values1) in tables.items():
+        key = n
+        if len(ids) > len(ws):
+            key = "orbits", n
+            makers[key] = compose_rows(list(ids))
+        tables[n] = ws, perms, orbits, list(ids), key
+    for m, (w1s, perms_m, orbits1, values1, _) in tables.items():
         slots = range(1, m + 1)
         targets = [[sigma[k - 1] for sigma in perms_m] for k in slots]
         sources = [[k - 1 for k in invert_perm(sigma)] for sigma in perms_m]
-        for n, (w2s, perms_n, orbits2, _) in tables.items():
+        for n, (w2s, perms_n, orbits2, _, key) in tables.items():
             stretches = [[stretch_at(sigma, sigma[k - 1], n) for sigma in perms_m] for k in slots]
             embeddings = [[embed_at(m, i, rho) for rho in perms_n] for i in slots]
             stretched, embedded = ("stretch", m, n), ("embed", m, n)
             makers[stretched], makers[embedded] = _acting(act, stretches), _acting(act, embeddings)
             for w1, orbit1 in zip(w1s, orbits1):
-                base = [row(w1, i, ("orbits", n)) for i in slots]
+                base = [row(w1, i, key) for i in slots]
                 # per slot k, the rows (sigma.w1) o_sigma(k) w2 over sigma, by w2
                 acted = [
                     list(zip(*[row(values1[o], t, n) for o, t in zip(orbit1, target)]))

@@ -96,33 +96,57 @@ def _relabel(letters, i, up):
 def word_compose_rows(w2s):
     """row(w1, i) == [word_compose(w1, i, w2) for w2 in w2s], w2s read once.
 
-    What depends on w2s alone is built once per shift i - 1, when a row
-    first needs it: the w2s' letters shifted to x_i.., the blocks, and their
-    inverses, each the block of w2's inverse word when that is in w2s.  What
-    depends on w2 only through its arity is done once per row and arity: w1
-    relabelled when it has no letter x_i^(+-1), else w1 split at those
-    letters and its segments relabelled.  Per w2 the block, or its inverse,
-    fills each cut.  Its generators x_i..x_(i+n-1) are none of the
-    segments', so letters can cancel only where two blocks meet, across an
-    empty segment or an empty w2, and only then is the result reduced.
+    A list of several arities is split into one kernel per arity, and their
+    rows are put back in list order.  Over w2s of one arity n, what depends
+    on w2s alone is built once per shift i - 1, when a row first needs it:
+    the w2s' letters shifted to x_i.., the blocks, and their inverses, each
+    the block of w2's inverse word when that is in w2s.  Per row, w1 is
+    relabelled once, and the row is one comprehension over the blocks, in
+    one of three shapes.  Without a letter x_i^(+-1) in w1 every entry is
+    the relabelled w1.  With one such letter each entry is the letters
+    before it, the block or its inverse, and the letters after it: the
+    block's generators x_i..x_(i+n-1) are none of theirs, so nothing
+    cancels but around an empty w2, whose entry alone is reduced.  With
+    several, the blocks fill the cuts, and letters can cancel only where
+    two blocks meet or around an empty w2, and only then is an entry
+    reduced.
     """
     w2s = list(w2s)
     arities = {n for _, n, _ in w2s}
+    if len(arities) > 1:
+        kernels = {n: word_compose_rows([w for w in w2s if w[1] == n]) for n in arities}
+
+        def mixed(w1, i):
+            rows = {n: iter(kernel(w1, i)) for n, kernel in kernels.items()}
+            return [next(rows[n]) for _, n, _ in w2s]
+
+        return mixed
+    up = arities.pop() - 1 if arities else 0
     shifted = {}  # shift -> the blocks
     inverses = {}  # shift -> the blocks' inverses
     partners = []  # per w2, the position of its inverse word in w2s, or None
+
+    def inverted(shift, blocks):
+        inverse = inverses.get(shift)
+        if inverse is None:
+            if not partners:
+                index = {w: t for t, w in enumerate(w2s)}
+                partners[:] = [index.get(w.inverse()) for w in w2s]
+            inverse = inverses[shift] = [
+                tuple(map(neg, reversed(block))) if t is None else blocks[t]
+                for t, block in zip(partners, blocks)
+            ]
+        return inverse
 
     def row(w1, i):
         _, m, letters = w1
         if not 1 <= i <= m:
             raise PositionOutOfRange(f"slot {i} out of 1..{m}")
+        arity = m + up
+        relabelled = _relabel(letters, i, up)
         if i not in letters and -i not in letters:
             # a relabelling of w1's generators, which keeps the word reduced
-            words = {n: _word(m + n - 1, _relabel(letters, i, n - 1)) for n in arities}
-            return [words[n] for _, n, _ in w2s]
-        cuts = [t for t, v in enumerate(letters) if v == i or v == -i]
-        ends = cuts[1:] + [len(letters)]
-        blocks_meet = len(cuts) > 1 and any(b == a + 1 for a, b in zip(cuts, ends))
+            return [_new(ReducedWord, (WORD_TAG, arity, relabelled))] * len(w2s)
         shift = i - 1
         blocks = shifted.get(shift)
         if blocks is None:
@@ -130,32 +154,32 @@ def word_compose_rows(w2s):
                 tuple([v + shift if v > 0 else v - shift for v in b]) if shift else b
                 for _, _, b in w2s
             ]
-        inverted = blocks
-        if -i in letters:
-            inverted = inverses.get(shift)
-            if inverted is None:
-                if not partners:
-                    index = {w: t for t, w in enumerate(w2s)}
-                    partners[:] = [index.get(w.inverse()) for w in w2s]
-                inverted = inverses[shift] = [
-                    tuple(map(neg, reversed(block))) if t is None else blocks[t]
-                    for t, block in zip(partners, blocks)
-                ]
-        parts = {}
-        for n in arities:
-            relabelled = _relabel(letters, i, n - 1)
-            parts[n] = relabelled[: cuts[0]], [
-                (relabelled[a] > 0, relabelled[a + 1 : b]) for a, b in zip(cuts, ends)
+        cuts = [t for t, v in enumerate(letters) if v == i or v == -i]
+        pre = relabelled[: cuts[0]]
+        if len(cuts) == 1:
+            post = relabelled[cuts[0] + 1 :]
+            pieces = blocks if letters[cuts[0]] == i else inverted(shift, blocks)
+            return [
+                _new(
+                    ReducedWord,
+                    (WORD_TAG, arity, pre + b + post if b else _reduce_letters(pre + post)),
+                )
+                for b in pieces
             ]
-        out = []
-        for (_, n, _), block, inverse in zip(w2s, blocks, inverted):
-            raw, segments = parts[n]
+        inverse_blocks = inverted(shift, blocks) if -i in letters else blocks
+        ends = cuts[1:] + [len(letters)]
+        segments = [(relabelled[a] == i, relabelled[a + 1 : b]) for a, b in zip(cuts, ends)]
+        blocks_meet = any(b == a + 1 for a, b in zip(cuts, cuts[1:]))
+
+        def fill(block, inverse):
+            raw = pre
             for positive, segment in segments:
                 raw += (block if positive else inverse) + segment
-            if blocks_meet or not block:
-                raw = _reduce_letters(raw)
-            out.append(_new(ReducedWord, (WORD_TAG, m + n - 1, raw)))
-        return out
+            return _reduce_letters(raw) if blocks_meet or not block else raw
+
+        return [
+            _new(ReducedWord, (WORD_TAG, arity, fill(b, v))) for b, v in zip(blocks, inverse_blocks)
+        ]
 
     return row
 

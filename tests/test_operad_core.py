@@ -2,6 +2,7 @@
 axiom checker, and the one-object scalar operad."""
 
 import copy
+import functools
 import importlib
 import inspect
 import os
@@ -252,9 +253,12 @@ def test_word_axiom_instance_counts_have_closed_forms():
     assert {c.name: c.instances for c in rep.checks} == expected
 
 
+@functools.cache
 def three_element_checks_one_by_one(P, arity_bound, size_bound):
     """Oracle: sequential associativity and parallel commutation evaluated
-    one instance at a time, in enumeration order, as (instances, witness)."""
+    one instance at a time, in enumeration order, as (instances, witness).
+    It calls P.compose alone, so its answer is kept for the next test that
+    asks."""
     els = {n: P.enumerate_arity(n, size_bound) for n in range(arity_bound + 1)}
     els = {n: ws for n, ws in els.items() if ws}
     c = P.compose
@@ -286,6 +290,13 @@ def three_element_checks_one_by_one(P, arity_bound, size_bound):
     return [(seq, seq_witness), (par, par_witness)]
 
 
+def words_and_a_conjugate(n, size_bound):
+    """The words of arity n and length <= size_bound, and from arity 2 on
+    also x1 x2 x1^-1: substituted for x_i in x1 x1 it makes two blocks
+    meet and cancel, and an empty word substituted for x2 in it leaves e."""
+    return word_enumerate(n, size_bound) + ([ReducedWord(n, (1, 2, -1))] if n >= 2 else [])
+
+
 def _flip_unary(w1, i, w2):
     # wrong: a unary word plugged into a wider one is inverted first
     return word_compose(w1, i, w2.inverse() if w2.arity == 1 and w1.arity >= 2 else w2)
@@ -303,6 +314,8 @@ THREE_ELEMENT_CASES = [  # operad, arity bound, size bound, pinned witnesses
     (word_operad(), 2, 1, [None, None]),
     # arity 3 makes left rows (w1 o_i w2) o_k w3 repeat across w1
     (word_operad(), 3, 1, [None, None]),
+    # letters cancel where blocks meet and around an empty w2
+    (replace(word_operad(), enumerate_arity=words_and_a_conjugate), 2, 2, [None, None]),
     (
         corrupted_operad("word-reduce"), 2, 2,
         [
@@ -497,7 +510,7 @@ def test_a_replaced_compose_falls_back_to_one_call_per_element():
 
     lawful = check_operad_axioms(word_operad(), 2, 2)
     rep = check_operad_axioms(replace(word_operad(), compose=counting), 2, 2)
-    assert calls == 21_194
+    assert calls == 20_336
     assert rep.passed and rep.to_json_dict() == lawful.to_json_dict()
     assert word_operad().compose.rows is word_compose_rows
     for fault in ("word-reduce", "perm-compose"):
@@ -555,9 +568,9 @@ def test_a_row_store_dropped_before_every_row_changes_no_report(monkeypatch):
     of the word check at (2, 2) is never dropped.  Both counts take in the
     42 rows of the unit laws, which are not kept: one row 1 o_1 w over w
     per arity, and one row w o_i 1 per (w, i)."""
-    assert rows_built(2, 2) == 1_846
+    assert rows_built(2, 2) == 1_768
     monkeypatch.setattr(operad_core, "ROW_STORE_CAP", 0)
-    assert rows_built(2, 2) == 6_876
+    assert rows_built(2, 2) == 6_866
     test_three_element_checks_match_one_by_one_oracle()
     test_corrupted_perm_is_caught_with_named_witness()
     test_corrupted_word_reduction_is_caught()
@@ -565,10 +578,11 @@ def test_a_row_store_dropped_before_every_row_changes_no_report(monkeypatch):
 
 def test_equivariance_builds_its_composites_with_the_row_kernel():
     """Given a row kernel, equivariance makes no one-element compose call.
-    Over a store of its own it builds two rows per (x, i) and arity n of w2,
-    one over the orbit values and one over the w2s: 5 * 1 rows for x of
-    arity 1 and 17 * 2 for arity 2, each for n = 1 and n = 2.  Within
-    check_operad_axioms the associativity checks have built the second."""
+    Over a store of its own it builds one row per (x, i) and arity n of w2,
+    over the w2s, which are also the orbit values, since relabelling keeps
+    a word's length: 5 * 1 rows for x of arity 1 and 17 * 2 for arity 2,
+    each for n = 1 and n = 2.  Within check_operad_axioms the associativity
+    checks have built them all."""
     calls, rows = 0, 0
 
     def counting(w1, i, w2):
@@ -583,7 +597,35 @@ def test_equivariance_builds_its_composites_with_the_row_kernel():
     counting.rows = counted_rows(count)
     rep = equivariance(counting, word_perm_act, _elements_by_arity(word_operad(), 2, 2))
     assert (rep.instances, rep.witness) == (3127, None)
-    assert (calls, rows) == (0, 2 * 2 * (5 * 1 + 17 * 2))
+    assert (calls, rows) == (0, 2 * (5 * 1 + 17 * 2))
+
+
+@pytest.mark.parametrize(
+    "P, bounds",
+    [
+        (word_operad(), (2, 2)),
+        (word_operad(), (3, 2)),
+        (qpoly_operad(finite_field(2)), (3, 1)),
+    ],
+    ids=["word-2-2", "word-3-2", "qpoly-f2-3-1"],
+)
+def test_every_list_the_checker_binds_has_one_arity(P, bounds):
+    """The word kernel splits a list of several arities into one kernel per
+    arity; the checks never take that path, since every list they bind a
+    kernel to holds elements of one arity."""
+    arities = []
+
+    def bind(ys):
+        ys = list(ys)
+        arities.append({y.arity for y in ys})
+        return P.compose.rows(ys)
+
+    def compose(w1, i, w2):
+        return P.compose(w1, i, w2)
+
+    compose.rows = bind
+    assert check_operad_axioms(replace(P, compose=compose), *bounds).passed
+    assert arities and all(len(a) == 1 for a in arities)
 
 
 def test_act_calls_of_the_perm_check():
@@ -685,13 +727,15 @@ def test_three_element_checks_catch_a_row_store_with_one_memo_for_every_arity(mo
             check_operad_axioms(P, arity_bound, size_bound)
 
 
-# -- mutants of the caches of the bound word kernel -----------------------------
+# -- mutants of the bound word kernel --------------------------------------------
 #
-# Each mutant is word_compose_rows with one line changed, compiled in the
-# namespace of endop.word_operad.  It must break the bound-kernel contract
-# over a right-hand list closed under inversion, and, installed as the row
-# kernel of word_compose, move the three-element checks of a lawful word
-# case away from their one-by-one oracle.
+# Each mutant is word_compose_rows with one line changed, compiled in a copy
+# of the namespace of endop.word_operad, so that the kernels it binds per
+# arity of a mixed list are mutants too.  It must break the bound-kernel
+# contract over a right-hand list closed under inversion but for one
+# conjugate, and, installed as the row kernel of word_compose, move the
+# three-element checks of a lawful word case away from their one-by-one
+# oracle.
 
 KERNEL_MUTANTS = {
     # the blocks of the first shift met are served at every shift
@@ -709,14 +753,21 @@ KERNEL_MUTANTS = {
     ),
     # the inverse is the partner's block before its shift
     "inverse-of-the-unshifted-block": ("else blocks[t]", "else w2s[t][2]"),
+    # one cut: the letters around an empty w2 are joined but not reduced
+    "one-cut-empty-block-unreduced": ("else _reduce_letters(pre + post)", "else pre + post"),
+    # several cuts: nothing is reduced, where blocks meet or around an empty w2
+    "several-cuts-never-reduced": (
+        "return _reduce_letters(raw) if blocks_meet or not block else raw",
+        "return raw",
+    ),
 }
 
 
 def _mutant_kernel(old, new):
     source = textwrap.dedent(inspect.getsource(word_operad_module.word_compose_rows))
     assert source.count(old) == 1, old
-    namespace = {}
-    exec(source.replace(old, new), vars(word_operad_module), namespace)
+    namespace = dict(vars(word_operad_module))
+    exec(source.replace(old, new), namespace)
     return namespace["word_compose_rows"]
 
 
@@ -725,9 +776,9 @@ def test_bound_kernel_mutants_are_caught(monkeypatch, mutant):
     rows = _mutant_kernel(*KERNEL_MUTANTS[mutant])
     rng = random.Random(3)
     broken = 0
-    for x in word_enumerate(3, 2):
+    for x in words_and_a_conjugate(3, 2):
         try:
-            check_bound_rows(rows, compose_by_substitution, x, word_enumerate(2, 2), rng)
+            check_bound_rows(rows, compose_by_substitution, x, words_and_a_conjugate(2, 2), rng)
         except AssertionError:
             broken += 1
     assert broken
